@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -268,3 +271,42 @@ class TestPlanning:
         templates = {m.template for m in machines}
         if len(machines) > len(templates):
             assert planner.stats.cache_hits + planner.stats.shortcut_zero_reward > 0
+
+    def test_stats_sum_solver_work(self, monkeypatch):
+        import pentestplan.planner as planner_module
+
+        solved = []
+
+        def recording_solve(pomdp):
+            result = solve(pomdp)
+            solved.append(result.stats)
+            return result
+
+        monkeypatch.setattr(planner_module, "solve", recording_solve)
+        plan = plan_attack(random_scenario(12))
+        assert plan.stats.solves == len(solved) > 0
+        assert plan.stats.solver_nodes == sum(s.nodes_expanded for s in solved) > 0
+        assert plan.stats.solver_memo_hits == sum(s.cache_hits for s in solved)
+
+
+PLAN_YAML = """
+import sys
+from pentestplan.bench import BenchmarkParams, generate_benchmark
+from pentestplan.planner import plan_attack
+from pentestplan.report import plan_to_yaml
+sys.stdout.write(plan_to_yaml(plan_attack(generate_benchmark(BenchmarkParams(60, 13, seed=1)))))
+"""
+
+
+def test_plan_file_does_not_depend_on_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        outputs.append(
+            subprocess.run(
+                [sys.executable, "-c", PLAN_YAML],
+                env=env, capture_output=True, check=True, timeout=300,
+            ).stdout
+        )
+    assert outputs[0] and outputs[0] == outputs[1]

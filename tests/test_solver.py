@@ -1,12 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pentestplan.bench import build_global_pomdp, random_scenario
 from pentestplan.belief import DependencyModel, MarkovChain, ProgramModel
 from pentestplan.netmodel import EMPTY_FIREWALL, Machine
 from pentestplan.pomdp import ActionSpec, OBS_OPEN, build_machine_pomdp
 from pentestplan.solver import (
     PolicyNode,
     SolverError,
+    belief_key,
     brute_force_value,
     evaluate_policy,
     format_policy,
@@ -122,6 +124,39 @@ class TestEvaluatePolicy:
         headless = PolicyNode(pomdp.action("s"), {}, 0.0)
         with pytest.raises(SolverError, match="no branch"):
             evaluate_policy(pomdp, headless)
+
+
+class TestGlobalModels:
+    """Search counts and values of three global models, pinned so that a
+    change of memo key or belief split that loses sharing shows."""
+
+    @pytest.mark.parametrize("seed,nodes,memo_hits,value", [
+        (240, 1969, 11992, 313.8901719135746),
+        (365, 1600, 12001, 263.7616794030538),
+        (55, 7, 4, 16.66884918791709),
+    ])
+    def test_counts_and_value(self, seed, nodes, memo_hits, value):
+        pomdp = build_global_pomdp(random_scenario(seed)).pomdp
+        result = solve(pomdp)
+        assert result.stats.nodes_expanded == nodes
+        assert result.stats.cache_hits == memo_hits
+        assert result.value == pytest.approx(value, abs=1e-9)
+        assert evaluate_policy(pomdp, result.policy) == pytest.approx(
+            result.value, abs=1e-9
+        )
+
+
+class TestBeliefKey:
+    def test_summation_order_shares_a_key(self):
+        left = {3: (0.1 + 0.2) + 0.3, 7: 0.4}
+        right = {7: 0.4, 3: 0.1 + (0.2 + 0.3)}
+        assert left[3] != right[3]
+        assert belief_key(left) == belief_key(right)
+
+    def test_distinct_masses_or_supports_differ(self):
+        base = belief_key({3: 0.6, 7: 0.4})
+        assert belief_key({3: 0.6 + 1e-9, 7: 0.4 - 1e-9}) != base
+        assert belief_key({3: 0.6, 8: 0.4}) != base
 
 
 class TestPolicyTextFormat:
