@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -16,11 +17,35 @@ from pentestplan.bench import (
     worked_example_scenario,
 )
 from pentestplan.planner import plan_attack
-from pentestplan.scenario import emit_scenario
+from pentestplan.scenario import emit_scenario, parse_scenario
 from pentestplan.solver import solve
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestBenchmarkGeneration:
+    # generators build the spec from a dict; the emitted text equals the one
+    # they produced when they went through a YAML dump and parse
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (
+                worked_example_scenario,
+                "0589cf3223a7b7c3d6e30737842df2b1197be6a308ddf0da905fa912e0552742",
+            ),
+            (
+                lambda: generate_benchmark(BenchmarkParams(machines=6, exploits=7)),
+                "d9557c8b1251d3cf78abb4e84a8758a41c9040fe041d6a9c065857587f033858",
+            ),
+        ],
+    )
+    def test_emitted_text_is_pinned(self, make, digest):
+        text = emit_scenario(make())
+        assert sha256(text) == digest
+        assert emit_scenario(parse_scenario(text)) == text
+
     def test_deterministic_given_seed(self):
         p = BenchmarkParams(machines=8, exploits=6, elapsed_days=30, seed=5)
         assert emit_scenario(generate_benchmark(p)) == emit_scenario(

@@ -1,4 +1,7 @@
+import hashlib
+
 import pytest
+import yaml
 
 from pentestplan.bench import random_scenario
 from pentestplan.planner import plan_attack
@@ -9,6 +12,7 @@ from pentestplan.report import (
     plan_to_dict,
     plan_to_yaml,
 )
+from pentestplan.scenario import SAFE_LOADER
 from pentestplan.sim import monte_carlo, rollout, sample_ground_truth, scenario_beliefs
 
 
@@ -40,6 +44,23 @@ class TestSerialization:
         spec, _ = planned
         with pytest.raises(ReportError):
             plan_from_yaml("][", spec.actions)
+
+    @pytest.mark.parametrize("text", ["components:\n  - a\n b: c\n", "components: [unclosed"])
+    def test_syntax_error_reports_line_and_column(self, planned, text):
+        spec, _ = planned
+        with pytest.raises(ReportError, match=r"line \d+, column \d+"):
+            plan_from_yaml(text, spec.actions)
+
+    def test_shared_loader_matches_safe_load(self, planned):
+        _, plan = planned
+        text = plan_to_yaml(plan)
+        assert yaml.load(text, Loader=SAFE_LOADER) == yaml.safe_load(text)
+
+    def test_plan_text_is_pinned(self, planned):
+        # the pure-Python dumper's line folding of long policy strings
+        _, plan = planned
+        digest = hashlib.sha256(plan_to_yaml(plan).encode()).hexdigest()
+        assert digest == "186a3c3b1e01bdba8b5677c7b5a0aa0c397628569b633cd7aaf5af79bf6bfb47"
 
     def test_non_plan_document_rejected(self, planned):
         spec, _ = planned

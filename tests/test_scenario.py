@@ -2,10 +2,13 @@ import pytest
 import yaml
 
 from pentestplan.netmodel import ScenarioSyntaxError, ScenarioValidationError
+from pentestplan.bench import random_scenario
 from pentestplan.scenario import (
     DEFAULT_COSTS,
+    SAFE_LOADER,
     emit_scenario,
     parse_scenario,
+    scenario_from_dict,
 )
 
 MINIMAL = """
@@ -65,6 +68,11 @@ class TestParse:
         with pytest.raises(ScenarioSyntaxError, match="line"):
             parse_scenario("a: [unclosed")
 
+    @pytest.mark.parametrize("text", ["a: b: c", "a:\n  - b\n c: d\n", "a: 'open"])
+    def test_syntax_error_reports_line_and_column(self, text):
+        with pytest.raises(ScenarioSyntaxError, match=r"at line \d+, column \d+"):
+            parse_scenario(text)
+
     def test_non_mapping_rejected(self):
         with pytest.raises(ScenarioSyntaxError):
             parse_scenario("- just\n- a list\n")
@@ -104,6 +112,39 @@ class TestParse:
         doc["actions"][0]["success"] = {"ghost": ["v1"]}
         with pytest.raises(ScenarioValidationError):
             parse_scenario(yaml.safe_dump(doc))
+
+
+class TestLoader:
+    @pytest.mark.parametrize("seed", [0, 3, 55, 240])
+    def test_shared_loader_matches_safe_load(self, seed):
+        text = emit_scenario(random_scenario(seed))
+        assert yaml.load(text, Loader=SAFE_LOADER) == yaml.safe_load(text)
+
+    def test_hand_written_document_loads_the_same(self):
+        assert yaml.load(MINIMAL, Loader=SAFE_LOADER) == yaml.safe_load(MINIMAL)
+
+
+class TestFromDict:
+    def test_same_spec_as_parsing(self):
+        spec = scenario_from_dict(yaml.safe_load(MINIMAL))
+        assert emit_scenario(spec) == emit_scenario(parse_scenario(MINIMAL))
+
+    def test_key_order_does_not_matter(self):
+        doc = yaml.safe_load(MINIMAL)
+        doc["programs"]["os"] = {"states": ["v1"], "transitions": {"v1": {"v1": 1.0}}}
+        doc["templates"]["base"] = {"os": "v1", "app": "vulnerable"}
+        doc["actions"][0]["success"] = {"os": ["v1"], "app": ["vulnerable"]}
+        spec = scenario_from_dict(doc)
+        again = parse_scenario(yaml.safe_dump(doc, sort_keys=True))
+        assert spec.actions == again.actions
+        assert spec.templates == again.templates
+        assert emit_scenario(spec) == emit_scenario(again)
+        assert list(spec.templates["base"]) == ["app", "os"]
+        assert list(spec.actions[0].success) == ["app", "os"]
+
+    def test_non_mapping_rejected(self):
+        with pytest.raises(ScenarioSyntaxError):
+            scenario_from_dict(["a", "list"])
 
 
 class TestEmit:

@@ -1,10 +1,19 @@
+import math
+
+import numpy as np
 import pytest
 
-from pentestplan.bench import random_scenario, worked_example_scenario
+from pentestplan.bench import (
+    BenchmarkParams,
+    generate_benchmark,
+    random_scenario,
+    worked_example_scenario,
+)
 from pentestplan.netmodel import EMPTY_FIREWALL
 from pentestplan.planner import plan_attack
 from pentestplan.pomdp import build_machine_pomdp
 from pentestplan.sim import (
+    GroundTruth,
     SimulationError,
     format_trace,
     monte_carlo,
@@ -53,6 +62,52 @@ class TestGroundTruth:
         assert counts[top] == max(counts.values())
 
 
+def choice_draw(beliefs, seed):
+    """Ground truth drawn with one ``Generator.choice`` call per machine."""
+    rng = np.random.default_rng(seed)
+    configs = {}
+    for machine_id in sorted(beliefs):
+        belief = beliefs[machine_id]
+        if belief is None:
+            configs[machine_id] = None
+            continue
+        support = sorted(belief)
+        probs = np.array([belief[c] for c in support])
+        configs[machine_id] = support[rng.choice(len(support), p=probs / probs.sum())]
+    return GroundTruth(configs=configs, seed=seed)
+
+
+SAMPLER_SCENARIOS = {
+    "worked example": worked_example_scenario,
+    "random 3": lambda: random_scenario(3),
+    "random 17": lambda: random_scenario(17),
+    "random 240": lambda: random_scenario(240),
+    "benchmark 50x13": lambda: generate_benchmark(BenchmarkParams(machines=50, exploits=13)),
+}
+
+
+class TestCompiledSampler:
+    @pytest.mark.parametrize("name", sorted(SAMPLER_SCENARIOS))
+    def test_draws_equal_per_machine_choice(self, name):
+        beliefs = scenario_beliefs(SAMPLER_SCENARIOS[name]())
+        for seed in range(200):
+            truth = sample_ground_truth(beliefs, seed)
+            assert truth == choice_draw(beliefs, seed)
+            assert list(truth.configs) == sorted(beliefs)
+
+    @pytest.mark.parametrize("name", ["random 17", "benchmark 50x13"])
+    def test_monte_carlo_equals_per_seed_choice_loop(self, name):
+        spec = SAMPLER_SCENARIOS[name]()
+        plan = plan_attack(spec)
+        beliefs = scenario_beliefs(spec)
+        seeds = np.random.SeedSequence(4).generate_state(40)
+        totals = np.array(
+            [rollout(spec, plan, choice_draw(beliefs, int(s))).total for s in seeds]
+        )
+        expected = (float(totals.mean()), float(totals.std(ddof=1) / math.sqrt(40)))
+        assert monte_carlo(spec, plan, 40, 4) == expected
+
+
 class TestRollout:
     def test_network_rollout_reproducible(self):
         spec = random_scenario(3)
@@ -72,8 +127,6 @@ class TestRollout:
     def test_missing_machine_rejected(self):
         spec = random_scenario(3)
         plan = plan_attack(spec)
-        from pentestplan.sim import GroundTruth
-
         with pytest.raises(SimulationError, match="missing"):
             rollout(spec, plan, GroundTruth(configs={}, seed=0))
 
