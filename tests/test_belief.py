@@ -8,7 +8,6 @@ from pentestplan.belief import (
     MarkovChain,
     ProgramModel,
     check_normalized,
-    condition,
     evolve_chain,
     initial_belief,
 )
@@ -131,16 +130,6 @@ class TestInitialBelief:
         for config in belief:
             assert config in {("old", "old"), ("new", "new")}
 
-    def test_end_renormalization_variant(self):
-        os = ProgramModel("os", two_state_chain(0.5))
-        app = ProgramModel("app", two_state_chain(0.5), parents=("os",))
-        model = DependencyModel(
-            programs=(app, os),
-            compatibility={"app": {("old", "old"), ("new", "new")}},
-        )
-        once = initial_belief(model, ("old", "old"), 5, renormalize_each_day=False)
-        check_normalized(once)
-
 
 @settings(max_examples=50, deadline=None)
 @given(
@@ -156,14 +145,3 @@ def test_initial_belief_is_always_normalized(stay_a, stay_b, days):
         )
     )
     check_normalized(initial_belief(model, ("old", "old"), days))
-
-
-class TestCondition:
-    def test_keeps_and_renormalizes(self):
-        belief = {("a",): 0.25, ("b",): 0.75}
-        cond = condition(belief, lambda c: c == ("a",))
-        assert cond == {("a",): 1.0}
-
-    def test_zero_probability_observation_rejected(self):
-        with pytest.raises(BeliefError):
-            condition({("a",): 1.0}, lambda c: False)

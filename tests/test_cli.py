@@ -1,4 +1,5 @@
 import pytest
+import yaml
 
 from pentestplan.cli import (
     EXIT_INVALID,
@@ -71,6 +72,15 @@ class TestPlan:
         bad = tmp_path / "bad.yaml"
         bad.write_text("start: [")
         assert main(["plan", str(bad)]) == EXIT_INVALID
+
+    def test_machine_without_template_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "example.yaml"
+        assert main(["gen", "--preset", "example", "--out", str(path)]) == EXIT_OK
+        doc = yaml.safe_load(path.read_text())
+        doc["machines"].append({"id": "gw", "subnetwork": "office", "reward": 0.0})
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["plan", str(path)]) == EXIT_INVALID
+        assert "no template" in capsys.readouterr().err
 
     def test_resource_bound(self, scenario_file):
         code = main(["plan", str(scenario_file), "--baseline", "--max-global-states", "2"])

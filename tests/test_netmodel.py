@@ -6,11 +6,9 @@ from pentestplan.netmodel import (
     Firewall,
     LogicalNetwork,
     Machine,
-    MachineStatus,
     ScenarioValidationError,
     action_usable,
     check_port,
-    compute_status,
 )
 from pentestplan.pomdp import ActionSpec
 
@@ -108,42 +106,6 @@ class TestNetworkValidation:
     def test_negative_machine_reward(self):
         with pytest.raises(ScenarioValidationError):
             Machine("m", "t0", -1.0)
-
-
-class TestComputeStatus:
-    def test_foothold_reaches_adjacent_subnetwork(self):
-        net = simple_network()
-        status = compute_status(net, {"attacker"})
-        assert status["attacker"] is MachineStatus.CONTROLLED
-        assert status["web"] is MachineStatus.REACHED
-        assert status["mail"] is MachineStatus.REACHED
-        assert status["db"] is MachineStatus.NOT_REACHED
-
-    def test_pivoting_extends_reach(self):
-        net = simple_network()
-        status = compute_status(net, {"attacker", "web"})
-        assert status["web"] is MachineStatus.CONTROLLED
-        assert status["mail"] is MachineStatus.REACHED  # same subnetwork as web
-        assert status["db"] is MachineStatus.REACHED  # via the dmz -> lan arc
-
-    def test_arcs_are_directed(self):
-        net = LogicalNetwork(
-            subnetworks={
-                "start": (Machine("a", None, 0.0),),
-                "x": (Machine("m", "t0", 0.0),),
-            },
-            arcs={("x", "start"): EMPTY_FIREWALL},  # wrong direction
-            start="start",
-        )
-        assert compute_status(net, {"a"})["m"] is MachineStatus.NOT_REACHED
-
-    def test_empty_controlled_set_rejected(self):
-        with pytest.raises(ValueError):
-            compute_status(simple_network(), set())
-
-    def test_unknown_controlled_id_rejected(self):
-        with pytest.raises(KeyError):
-            compute_status(simple_network(), {"ghost"})
 
 
 class TestActionUsable:

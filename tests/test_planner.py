@@ -5,7 +5,12 @@ import sys
 
 import pytest
 
-from pentestplan.bench import build_global_pomdp, random_scenario
+from pentestplan.bench import (
+    BenchmarkParams,
+    build_global_pomdp,
+    generate_benchmark,
+    random_scenario,
+)
 from pentestplan.netmodel import EMPTY_FIREWALL, Firewall, LogicalNetwork, Machine
 from pentestplan.planner import (
     ComponentSizeError,
@@ -287,6 +292,12 @@ class TestPlanning:
         assert plan.stats.solves == len(solved) > 0
         assert plan.stats.solver_nodes == sum(s.nodes_expanded for s in solved) > 0
         assert plan.stats.solver_memo_hits == sum(s.cache_hits for s in solved)
+
+    def test_stats_of_the_wide_benchmark(self):
+        # one solve cache keyed by template; zero-reward attacks are
+        # shortcut before the cache is consulted and never counted as hits
+        stats = plan_attack(generate_benchmark(BenchmarkParams(2000, 13))).stats
+        assert (stats.solves, stats.cache_hits, stats.shortcut_zero_reward) == (62, 314, 9912)
 
 
 PLAN_YAML = """

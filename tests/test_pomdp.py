@@ -16,12 +16,11 @@ from pentestplan.pomdp import (
     TERMINATE_ACTION,
     belief_step,
     build_machine_pomdp,
-    dump_tables,
     informative_actions,
     local_outcome,
-    merge_indistinguishable,
     os_report,
     step,
+    tabulate,
 )
 from pentestplan.solver import solve
 
@@ -245,12 +244,6 @@ class TestBuildMachinePomdp:
         pruned = build(crash=True, prune=True)
         assert solve(pruned).value == pytest.approx(solve(full).value, abs=1e-9)
 
-    def test_dump_tables_mentions_every_state(self):
-        pomdp = build()
-        text = dump_tables(pomdp)
-        assert f"{len(pomdp.states)} states" in text
-        assert "action x" in text
-
 
 class TestStepAndBeliefStep:
     def test_step_matches_tables(self):
@@ -280,14 +273,25 @@ class TestStepAndBeliefStep:
             assert reward == pytest.approx(-10.0)
 
 
-class TestMergeIndistinguishable:
-    def test_merge_preserves_solve_value(self):
-        pomdp = build(crash=True)
-        merged = merge_indistinguishable(pomdp)
-        assert len(merged.states) <= len(pomdp.states)
-        assert solve(merged).value == pytest.approx(solve(pomdp).value, abs=1e-9)
+class TestTabulate:
+    STATES = (TERMINAL, "a", "b")
 
-    def test_merged_belief_mass_conserved(self):
-        pomdp = build()
-        merged = merge_indistinguishable(pomdp)
-        assert sum(merged.b0.values()) == pytest.approx(1.0)
+    def test_terminate_and_terminal_are_absorbing(self):
+        pomdp = tabulate(
+            "m", make_model(), self.STATES, [SCAN, TERMINATE_ACTION],
+            lambda s, a: (s, OBS_OPEN, -10.0), {"a": 0.5, "b": 0.5},
+        )
+        for s in self.STATES:
+            assert step(pomdp, s, TERMINATE_ACTION) == (TERMINAL, OBS_NONE, 0.0)
+        assert step(pomdp, TERMINAL, SCAN) == (TERMINAL, OBS_NONE, 0.0)
+        assert step(pomdp, "b", SCAN) == ("b", OBS_OPEN, -10.0)
+
+    def test_two_observations_into_one_successor_rejected(self):
+        def outcome(state, action):
+            return "a", (OBS_OPEN if state == "a" else OBS_CLOSED), -10.0
+
+        with pytest.raises(ModelError, match="not deterministic"):
+            tabulate(
+                "m", make_model(), self.STATES, [SCAN, TERMINATE_ACTION],
+                outcome, {"a": 0.5, "b": 0.5},
+            )

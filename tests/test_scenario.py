@@ -107,6 +107,14 @@ class TestParse:
         with pytest.raises(ScenarioValidationError):
             parse_scenario(yaml.safe_dump(doc))
 
+    def test_machine_without_template_rejected(self):
+        # only the foothold may lack a template: the planner would score
+        # such a machine 0 and the simulator count it as controlled
+        doc = yaml.safe_load(MINIMAL)
+        doc["machines"].append({"id": "gw", "subnetwork": "office", "reward": 0.0})
+        with pytest.raises(ScenarioValidationError, match="'gw' has no template"):
+            scenario_from_dict(doc)
+
     def test_predicate_on_unknown_program_rejected(self):
         doc = yaml.safe_load(MINIMAL)
         doc["actions"][0]["success"] = {"ghost": ["v1"]}
