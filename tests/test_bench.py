@@ -17,6 +17,7 @@ from pentestplan.bench import (
     worked_example_scenario,
 )
 from pentestplan.planner import plan_attack
+from pentestplan.pomdp import TERMINAL
 from pentestplan.scenario import emit_scenario, parse_scenario
 from pentestplan.solver import solve
 
@@ -96,7 +97,31 @@ class TestBenchmarkGeneration:
             BenchmarkParams(machines=1, exploits=0)
 
 
+def decode(gp, state):
+    """A global state as its tuple of local states (``TERMINAL`` as is)."""
+    if isinstance(state, str):
+        return state
+    return tuple(local[c] for local, c in zip(gp.local_states, state))
+
+
 class TestGlobalBaseline:
+    # codes are repr ranks, so code tuples sort as the decoded tuples sort by str
+    @pytest.mark.parametrize("seed", [*range(40), 55, 240, 365])
+    def test_states_sort_like_their_decoded_strings(self, seed):
+        gp = build_global_pomdp(random_scenario(seed))
+        decoded = [decode(gp, s) for s in gp.pomdp.states[1:]]
+        assert gp.pomdp.states[0] == TERMINAL
+        assert decoded == sorted(decoded, key=str)
+
+    @pytest.mark.parametrize("seed", [0, 2, 7, 55])
+    def test_initial_states_round_trip_through_configs(self, seed):
+        gp = build_global_pomdp(random_scenario(seed))
+        for state in gp.pomdp.b0:
+            locals_ = decode(gp, state)
+            assert all(not local.crashed for local in locals_)
+            configs = dict(zip(gp.machine_order, (local.config for local in locals_)))
+            assert gp.state_from_configs(configs) == state
+
     def test_matches_decomposition_on_tree(self):
         spec = random_scenario(7, singleton_tree=True)
         assert solve(build_global_pomdp(spec).pomdp).value == pytest.approx(

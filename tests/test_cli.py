@@ -82,6 +82,15 @@ class TestPlan:
         assert main(["plan", str(path)]) == EXIT_INVALID
         assert "no template" in capsys.readouterr().err
 
+    def test_nan_reward_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "example.yaml"
+        assert main(["gen", "--preset", "example", "--out", str(path)]) == EXIT_OK
+        doc = yaml.safe_load(path.read_text())
+        doc["machines"][-1]["reward"] = float("nan")
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["plan", str(path)]) == EXIT_INVALID
+        assert "reward must be a finite number" in capsys.readouterr().err
+
     def test_resource_bound(self, scenario_file):
         code = main(["plan", str(scenario_file), "--baseline", "--max-global-states", "2"])
         assert code == EXIT_RESOURCE

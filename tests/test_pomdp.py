@@ -1,5 +1,6 @@
 import pytest
 
+from pentestplan.bench import worked_example_scenario
 from pentestplan.belief import DependencyModel, MarkovChain, ProgramModel
 from pentestplan.netmodel import EMPTY_FIREWALL, Firewall, Machine
 from pentestplan.pomdp import (
@@ -257,6 +258,12 @@ class TestStepAndBeliefStep:
         with pytest.raises(ModelError):
             step(pomdp, TERMINAL, SCAN)
 
+    @pytest.mark.parametrize("state", ["nowhere", ["vulnerable", "linux"]])
+    def test_step_rejects_unknown_state(self, state):
+        pomdp = build()
+        with pytest.raises(ModelError, match="unknown state"):
+            step(pomdp, state, SCAN)
+
     def test_belief_step_partitions_probability(self):
         pomdp = build()
         entries = belief_step(pomdp, pomdp.b0, pomdp.action("s"))
@@ -295,3 +302,28 @@ class TestTabulate:
                 "m", make_model(), self.STATES, [SCAN, TERMINATE_ACTION],
                 outcome, {"a": 0.5, "b": 0.5},
             )
+
+    def test_terminal_reached_with_an_observation_rejected(self):
+        def outcome(state, action):
+            return TERMINAL, OBS_OPEN, -10.0
+
+        with pytest.raises(ModelError, match="not deterministic"):
+            tabulate(
+                "m", make_model(), self.STATES, [SCAN, TERMINATE_ACTION],
+                outcome, {"a": 0.5, "b": 0.5},
+            )
+
+    def test_dict_views_agree_with_step(self):
+        spec = worked_example_scenario()
+        machine = spec.net.machine("m")
+        pomdp = build_machine_pomdp(
+            machine, EMPTY_FIREWALL, machine.reward,
+            spec.machine_belief(machine), spec.actions, spec.model,
+        )
+        pairs = [(s, a) for s in pomdp.states for a in pomdp.actions]
+        assert len(pomdp.transition) == len(pairs)
+        for s, a in pairs:
+            nxt, obs, r = step(pomdp, s, a)
+            assert pomdp.transition[(s, a.id)] == nxt
+            assert pomdp.observation[(nxt, a.id)] == obs
+            assert pomdp.reward[(s, a.id, nxt)] == r

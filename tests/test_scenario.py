@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import yaml
 
@@ -105,6 +107,25 @@ class TestParse:
         doc = yaml.safe_load(MINIMAL)
         doc["elapsed_days"] = -1
         with pytest.raises(ScenarioValidationError):
+            parse_scenario(yaml.safe_dump(doc))
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda d: d.update(elapsed_days=True), "elapsed_days"),
+            (lambda d: d["machines"][1].update(reward=float("nan")), "machine 'pc' reward"),
+            (lambda d: d["machines"][1].update(reward=float("inf")), "machine 'pc' reward"),
+            (lambda d: d.update(costs={"exploit": float("nan")}), "costs['exploit']"),
+            (lambda d: d.update(costs={"detect_risk": float("-inf")}), "costs['detect_risk']"),
+            (lambda d: d["actions"][0].update(cost_time=float("inf")), "action 'hit' cost_time"),
+            (lambda d: d["actions"][1].update(cost_detect=float("nan")), "action 'look' cost_detect"),
+        ],
+        ids=["bool-days", "nan-reward", "inf-reward", "nan-cost", "inf-risk", "inf-time", "nan-detect"],
+    )
+    def test_bad_numbers_rejected(self, edit, field):
+        doc = yaml.safe_load(MINIMAL)
+        edit(doc)
+        with pytest.raises(ScenarioValidationError, match=re.escape(field)):
             parse_scenario(yaml.safe_dump(doc))
 
     def test_machine_without_template_rejected(self):
