@@ -18,7 +18,7 @@ from pentestplan.bench import (
 )
 from pentestplan.planner import plan_attack
 from pentestplan.pomdp import TERMINAL
-from pentestplan.scenario import emit_scenario, parse_scenario
+from pentestplan.scenario import emit_scenario, parse_scenario, scenario_from_dict
 from pentestplan.solver import solve
 
 
@@ -97,6 +97,52 @@ class TestBenchmarkGeneration:
             BenchmarkParams(machines=1, exploits=0)
 
 
+def scan_after_crash_scenario():
+    """One machine whose port-100 scan is informative only after ``x`` crashes P."""
+    return scenario_from_dict(
+        {
+            "start": "s",
+            "elapsed_days": 10,
+            "subnetworks": ["s", "n"],
+            "machines": [
+                {"id": "attacker", "subnetwork": "s"},
+                {"id": "m", "subnetwork": "n", "template": "t", "reward": 100.0},
+            ],
+            "arcs": [{"from": "s", "to": "n", "blocked_ports": []}],
+            "programs": {
+                "P": {
+                    "states": ["a", "b"],
+                    "transitions": {"a": {"a": 0.95, "b": 0.05}, "b": {"b": 1.0}},
+                    "port": 100,
+                    "open_states": ["a", "b"],
+                },
+                "Q": {
+                    "states": ["q0", "q1"],
+                    "transitions": {"q0": {"q0": 0.9, "q1": 0.1}, "q1": {"q1": 1.0}},
+                },
+                "R": {
+                    "states": ["r"],
+                    "transitions": {"r": {"r": 1.0}},
+                    "port": 200,
+                    "open_states": ["r"],
+                },
+            },
+            "templates": {"t": {"P": "a", "Q": "q0", "R": "r"}},
+            "actions": [
+                {
+                    "id": "x", "kind": "exploit", "port": 100, "program": "P",
+                    "success": {"P": ["a"], "Q": ["q1"]}, "crash": {"P": ["b"]},
+                },
+                {"id": "scan100", "kind": "port_scan", "port": 100},
+                {
+                    "id": "y", "kind": "exploit", "port": 200, "program": "R",
+                    "success": {"P": ["b"], "R": ["r"]}, "cost_time": 60,
+                },
+            ],
+        }
+    )
+
+
 def decode(gp, state):
     """A global state as its tuple of local states (``TERMINAL`` as is)."""
     if isinstance(state, str):
@@ -123,10 +169,14 @@ class TestGlobalBaseline:
             assert gp.state_from_configs(configs) == state
 
     def test_matches_decomposition_on_tree(self):
-        spec = random_scenario(7, singleton_tree=True)
-        assert solve(build_global_pomdp(spec).pomdp).value == pytest.approx(
-            plan_attack(spec).value, abs=1e-6
-        )
+        for spec in (random_scenario(7, singleton_tree=True), scan_after_crash_scenario()):
+            gp = build_global_pomdp(spec)
+            value = solve(gp.pomdp).value
+            assert value == pytest.approx(plan_attack(spec).value, abs=1e-6)
+        # the scan of P's port is constant until x crashes P; after the crash
+        # it tells whether y can work, so the global model must keep it too
+        assert value == pytest.approx(38.947253, abs=1e-6)
+        assert "m.scan100" in [a.id for a in gp.pomdp.actions]
 
     def test_state_bound_enforced(self):
         spec = generate_benchmark(BenchmarkParams(machines=4, exploits=4, seed=0))

@@ -91,6 +91,23 @@ class TestPlan:
         assert main(["plan", str(path)]) == EXIT_INVALID
         assert "reward must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["programs"]["SA"].update(open_states=["gone"]), "unknown open state"),
+            (lambda d: d["actions"][0].update(kind="phish"), "unknown kind 'phish'"),
+        ],
+        ids=["unknown-open-state", "unknown-kind"],
+    )
+    def test_bad_program_or_action_is_invalid(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "example.yaml"
+        assert main(["gen", "--preset", "example", "--out", str(path)]) == EXIT_OK
+        doc = yaml.safe_load(path.read_text())
+        edit(doc)
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["plan", str(path)]) == EXIT_INVALID
+        assert message in capsys.readouterr().err
+
     def test_resource_bound(self, scenario_file):
         code = main(["plan", str(scenario_file), "--baseline", "--max-global-states", "2"])
         assert code == EXIT_RESOURCE
@@ -115,6 +132,20 @@ class TestSimulate:
         code = main(["simulate", str(scenario_file), str(plan_path), "--trace"])
         assert code == EXIT_OK
         assert capsys.readouterr().out.startswith("# rollout seed=")
+
+    def test_policy_without_branch_is_invalid(self, tmp_path, capsys):
+        scenario_path = tmp_path / "example.yaml"
+        plan_path = tmp_path / "plan.yaml"
+        assert main(["gen", "--preset", "example", "--out", str(scenario_path)]) == EXIT_OK
+        assert main(["plan", str(scenario_path), "--out", str(plan_path)]) == EXIT_OK
+        doc = yaml.safe_load(plan_path.read_text())
+        doc["components"][0]["paths"][0]["steps"][0]["first"]["policy"] = (
+            "scan_port_2967 value=0.000000"
+        )
+        plan_path.write_text(yaml.safe_dump(doc))
+        capsys.readouterr()
+        assert main(["simulate", str(scenario_path), str(plan_path)]) == EXIT_INVALID
+        assert "no branch" in capsys.readouterr().err
 
 
 class TestExperiment:

@@ -136,6 +136,26 @@ class TestParse:
         with pytest.raises(ScenarioValidationError, match="'gw' has no template"):
             scenario_from_dict(doc)
 
+    def test_open_state_not_in_states_rejected(self):
+        doc = yaml.safe_load(MINIMAL)
+        doc["programs"]["app"]["open_states"] = ["vulnerable", "listening"]
+        with pytest.raises(ScenarioValidationError, match="'listening'"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda a: a.update(kind="phish"), "'hit' has unknown kind 'phish'"),
+            (lambda a: a.pop("port"), "'hit' .exploit. needs a target port"),
+        ],
+        ids=["unknown-kind", "exploit-without-port"],
+    )
+    def test_bad_action_rejected(self, edit, message):
+        doc = yaml.safe_load(MINIMAL)
+        edit(doc["actions"][0])
+        with pytest.raises(ScenarioValidationError, match=message):
+            scenario_from_dict(doc)
+
     def test_predicate_on_unknown_program_rejected(self):
         doc = yaml.safe_load(MINIMAL)
         doc["actions"][0]["success"] = {"ghost": ["v1"]}

@@ -23,7 +23,7 @@ from pentestplan.sim import (
     sample_ground_truth,
     scenario_beliefs,
 )
-from pentestplan.solver import evaluate_policy, solve
+from pentestplan.solver import PolicyNode, evaluate_policy, solve
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +136,15 @@ class TestRollout:
         with pytest.raises(SimulationError):
             monte_carlo(spec, plan, 0, 0)
 
+    def test_policy_without_branch_rejected(self, example):
+        spec, pomdp = example
+        plan = plan_attack(spec)
+        attack = plan.components[0].paths[0].steps[0].first
+        attack.policy = PolicyNode(pomdp.action("scan_port_2967"))
+        truth = sample_ground_truth(scenario_beliefs(spec), 0)
+        with pytest.raises(SimulationError, match="no branch"):
+            rollout(spec, plan, truth)
+
     def test_monte_carlo_reproducible(self):
         spec = random_scenario(3)
         plan = plan_attack(spec)
@@ -156,6 +165,12 @@ class TestPomdpRollout:
         state = max(pomdp.b0, key=pomdp.b0.get)
         trace = rollout_pomdp(pomdp, policy, state)
         assert trace.total == pytest.approx(sum(r for *_, r in trace.steps))
+
+    def test_policy_without_branch_rejected(self, example):
+        _, pomdp = example
+        state = max(pomdp.b0, key=pomdp.b0.get)
+        with pytest.raises(SimulationError, match="no branch"):
+            rollout_pomdp(pomdp, PolicyNode(pomdp.action("scan_port_2967")), state)
 
     def test_format_trace_layout(self, example):
         _, pomdp = example
