@@ -17,7 +17,7 @@ from pentestplan.bench import (
     worked_example_scenario,
 )
 from pentestplan.planner import plan_attack
-from pentestplan.pomdp import TERMINAL
+from pentestplan.pomdp import CONTROLLED, TERMINAL
 from pentestplan.scenario import emit_scenario, parse_scenario, scenario_from_dict
 from pentestplan.solver import solve
 
@@ -150,14 +150,22 @@ def decode(gp, state):
     return tuple(local[c] for local, c in zip(gp.local_states, state))
 
 
+def local_order(decoded):
+    """Sort key of a decoded global state, as a machine POMDP orders its states."""
+    return [(0,) if s is CONTROLLED else (1, s.config, sorted(s.crashed)) for s in decoded]
+
+
 class TestGlobalBaseline:
-    # codes are repr ranks, so code tuples sort as the decoded tuples sort by str
-    @pytest.mark.parametrize("seed", [*range(40), 55, 240, 365])
+    # codes are positions in each machine's POMDP states, so code tuples
+    # sort as the decoded tuples do with CONTROLLED first and configurations
+    # by (config, sorted crashed programs); an order by str would follow the
+    # string hashes wherever two programs are crashed (seeds 21, 49, 111, ...)
+    @pytest.mark.parametrize("seed", [*range(40), 49, 55, 111, 240, 270, 279, 304, 365])
     def test_states_sort_like_their_decoded_strings(self, seed):
         gp = build_global_pomdp(random_scenario(seed))
         decoded = [decode(gp, s) for s in gp.pomdp.states[1:]]
         assert gp.pomdp.states[0] == TERMINAL
-        assert decoded == sorted(decoded, key=str)
+        assert decoded == sorted(decoded, key=local_order)
 
     @pytest.mark.parametrize("seed", [0, 2, 7, 55])
     def test_initial_states_round_trip_through_configs(self, seed):

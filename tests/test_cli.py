@@ -96,8 +96,28 @@ class TestPlan:
         [
             (lambda d: d["programs"]["SA"].update(open_states=["gone"]), "unknown open state"),
             (lambda d: d["actions"][0].update(kind="phish"), "unknown kind 'phish'"),
+            (lambda d: d["actions"][0].update(kind=["exploit"]), "kind must be a string"),
+            (
+                lambda d: d["templates"]["last_pentest"].update(DEP="gone"),
+                "template 'last_pentest': unknown version 'gone' of program 'DEP'",
+            ),
+            (
+                lambda d: d["actions"][0]["success"].update(DEP=["gone"]),
+                "success predicate: unknown version 'gone' of program 'DEP'",
+            ),
+            (
+                lambda d: d["actions"][0].update(crash={"CAU": ["gone"]}),
+                "crash predicate: unknown version 'gone' of program 'CAU'",
+            ),
         ],
-        ids=["unknown-open-state", "unknown-kind"],
+        ids=[
+            "unknown-open-state",
+            "unknown-kind",
+            "kind-not-a-string",
+            "unknown-template-version",
+            "unknown-success-version",
+            "unknown-crash-version",
+        ],
     )
     def test_bad_program_or_action_is_invalid(self, tmp_path, capsys, edit, message):
         path = tmp_path / "example.yaml"

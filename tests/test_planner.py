@@ -309,15 +309,29 @@ sys.stdout.write(plan_to_yaml(plan_attack(generate_benchmark(BenchmarkParams(60,
 """
 
 
+# random_scenario(49) has local states with two crashed programs, whose
+# frozenset iterates in string-hash order
+GLOBAL_STATES = """
+from pentestplan.bench import build_global_pomdp, random_scenario
+from pentestplan.pomdp import CONTROLLED
+from pentestplan.solver import solve
+gp = build_global_pomdp(random_scenario(49))
+for local in gp.local_states:
+    print([s if s is CONTROLLED else (s.config, sorted(s.crashed)) for s in local])
+print(solve(gp.pomdp).value.hex())
+"""
+
+
 def test_plan_file_does_not_depend_on_hash_seed():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    outputs = []
-    for hash_seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-        outputs.append(
-            subprocess.run(
-                [sys.executable, "-c", PLAN_YAML],
-                env=env, capture_output=True, check=True, timeout=300,
-            ).stdout
-        )
-    assert outputs[0] and outputs[0] == outputs[1]
+    for script in (PLAN_YAML, GLOBAL_STATES):
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    env=env, capture_output=True, check=True, timeout=300,
+                ).stdout
+            )
+        assert outputs[0] and outputs[0] == outputs[1]

@@ -1,6 +1,5 @@
 import pytest
 
-from pentestplan.bench import worked_example_scenario
 from pentestplan.belief import DependencyModel, MarkovChain, ProgramModel
 from pentestplan.netmodel import EMPTY_FIREWALL, Firewall, Machine
 from pentestplan.pomdp import (
@@ -216,13 +215,14 @@ class TestBuildMachinePomdp:
         pomdp = build()
         assert any(a.kind == "terminate" for a in pomdp.actions)
         for s in pomdp.states:
-            assert pomdp.transition[(s, "terminate")] == TERMINAL
-            assert pomdp.reward[(s, "terminate", TERMINAL)] == 0.0
+            nxt, _, r = step(pomdp, s, TERMINATE_ACTION)
+            assert nxt == TERMINAL and r == 0.0
 
     def test_success_reward_is_cost_plus_break_in(self):
         pomdp = build()
         vulnerable = ConfigState(("vulnerable", "linux"))
-        assert pomdp.reward[(vulnerable, "x", CONTROLLED)] == pytest.approx(90.0)
+        nxt, _, r = step(pomdp, vulnerable, pomdp.action("x"))
+        assert nxt == CONTROLLED and r == pytest.approx(90.0)
 
     def test_negative_break_in_reward_rejected(self):
         model = make_model()
@@ -285,7 +285,7 @@ class TestTabulate:
 
     def test_terminate_and_terminal_are_absorbing(self):
         pomdp = tabulate(
-            "m", make_model(), self.STATES, [SCAN, TERMINATE_ACTION],
+            "m", self.STATES, [SCAN, TERMINATE_ACTION],
             lambda s, a: (s, OBS_OPEN, -10.0), {"a": 0.5, "b": 0.5},
         )
         for s in self.STATES:
@@ -299,7 +299,7 @@ class TestTabulate:
 
         with pytest.raises(ModelError, match="not deterministic"):
             tabulate(
-                "m", make_model(), self.STATES, [SCAN, TERMINATE_ACTION],
+                "m", self.STATES, [SCAN, TERMINATE_ACTION],
                 outcome, {"a": 0.5, "b": 0.5},
             )
 
@@ -309,21 +309,6 @@ class TestTabulate:
 
         with pytest.raises(ModelError, match="not deterministic"):
             tabulate(
-                "m", make_model(), self.STATES, [SCAN, TERMINATE_ACTION],
+                "m", self.STATES, [SCAN, TERMINATE_ACTION],
                 outcome, {"a": 0.5, "b": 0.5},
             )
-
-    def test_dict_views_agree_with_step(self):
-        spec = worked_example_scenario()
-        machine = spec.net.machine("m")
-        pomdp = build_machine_pomdp(
-            machine, EMPTY_FIREWALL, machine.reward,
-            spec.machine_belief(machine), spec.actions, spec.model,
-        )
-        pairs = [(s, a) for s in pomdp.states for a in pomdp.actions]
-        assert len(pomdp.transition) == len(pairs)
-        for s, a in pairs:
-            nxt, obs, r = step(pomdp, s, a)
-            assert pomdp.transition[(s, a.id)] == nxt
-            assert pomdp.observation[(nxt, a.id)] == obs
-            assert pomdp.reward[(s, a.id, nxt)] == r
