@@ -109,6 +109,25 @@ class TestPlan:
                 lambda d: d["actions"][0].update(crash={"CAU": ["gone"]}),
                 "crash predicate: unknown version 'gone' of program 'CAU'",
             ),
+            (lambda d: d["programs"]["SA"].update(port=[1]), "programs.SA.port: port must be"),
+            (lambda d: d["programs"]["SA"].update(port="2967"), "programs.SA.port: port must be"),
+            (
+                lambda d: d["programs"]["SA"].update(parents=["ghost"]),
+                "programs.SA.parents: unknown program 'ghost'",
+            ),
+            (lambda d: d["actions"].__setitem__(0, "exploit_CAU"), "actions[0] must be a mapping"),
+            (
+                lambda d: d["actions"][0].update(success=["vulnerable"]),
+                "success predicate must be a mapping",
+            ),
+            (
+                lambda d: d["actions"][0].update(crash=["vulnerable"]),
+                "crash predicate must be a mapping",
+            ),
+            (
+                lambda d: d["programs"]["DEP"]["transitions"]["disabled"].update(enabled="x"),
+                "programs.DEP.transitions.disabled.enabled must be a finite number",
+            ),
         ],
         ids=[
             "unknown-open-state",
@@ -117,6 +136,13 @@ class TestPlan:
             "unknown-template-version",
             "unknown-success-version",
             "unknown-crash-version",
+            "program-port-list",
+            "program-port-string",
+            "unknown-parent",
+            "action-not-a-mapping",
+            "success-not-a-mapping",
+            "crash-not-a-mapping",
+            "probability-not-a-number",
         ],
     )
     def test_bad_program_or_action_is_invalid(self, tmp_path, capsys, edit, message):

@@ -156,6 +156,63 @@ class TestParse:
         with pytest.raises(ScenarioValidationError, match=message):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(actions=5), "actions must be a list"),
+            (lambda d: d.update(costs=3), "costs must be a mapping"),
+            (lambda d: d.update(templates=["base"]), "templates must be a mapping"),
+            (lambda d: d["machines"].__setitem__(0, "attacker"), "machines[0] must be a mapping"),
+            (lambda d: d["arcs"].__setitem__(0, "lab"), "arcs[0] must be a mapping"),
+            (
+                lambda d: d["programs"]["app"].update(transitions=[0.9]),
+                "programs.app.transitions must be a mapping",
+            ),
+            (
+                lambda d: d["programs"]["app"]["transitions"]["patched"].update(patched=1.5),
+                "programs.app.transitions.patched.patched must be a probability",
+            ),
+            (
+                lambda d: d["programs"]["app"]["transitions"]["patched"].update(patched=0.5),
+                "programs.app.transitions: transition rows must sum to 1",
+            ),
+            (
+                lambda d: d["actions"][0]["success"].update(app="vulnerable"),
+                "success.app must be a list",
+            ),
+            (
+                lambda d: d["programs"]["app"].update(parents=["app"]),
+                "dependency graph has a cycle",
+            ),
+            (
+                lambda d: d.update(compatibility={"ghost": [["v1"]]}),
+                "compatibility constraint on unknown program 'ghost'",
+            ),
+            (lambda d: d.update(compatibility=[["v1"]]), "compatibility must be a mapping"),
+            (lambda d: d.update(compatibility={"app": [1]}), "compatibility.app[0] must be a list"),
+        ],
+        ids=[
+            "actions-not-a-list",
+            "costs-not-a-mapping",
+            "templates-not-a-mapping",
+            "machine-not-a-mapping",
+            "arc-not-a-mapping",
+            "transitions-not-a-mapping",
+            "probability-above-one",
+            "row-not-summing-to-one",
+            "versions-not-a-list",
+            "dependency-cycle",
+            "constraint-on-unknown-program",
+            "compatibility-not-a-mapping",
+            "compatibility-tuple-not-a-list",
+        ],
+    )
+    def test_bad_shape_rejected(self, edit, message):
+        doc = yaml.safe_load(MINIMAL)
+        edit(doc)
+        with pytest.raises(ScenarioValidationError, match=re.escape(message)):
+            scenario_from_dict(doc)
+
     def test_predicate_on_unknown_program_rejected(self):
         doc = yaml.safe_load(MINIMAL)
         doc["actions"][0]["success"] = {"ghost": ["v1"]}

@@ -7,6 +7,7 @@ from pentestplan.netmodel import EMPTY_FIREWALL, Machine
 from pentestplan.pomdp import ActionSpec, OBS_OPEN, build_machine_pomdp
 from pentestplan.solver import (
     PolicyNode,
+    _Search,
     SolverError,
     belief_key,
     brute_force_value,
@@ -126,14 +127,25 @@ class TestEvaluatePolicy:
             evaluate_policy(pomdp, headless)
 
 
+@pytest.fixture(scope="module")
+def criterion_4_solves():
+    """``seed -> (global POMDP, solve result)`` for ``random_scenario(0..49)``."""
+    solves = {}
+    for seed in range(50):
+        pomdp = build_global_pomdp(random_scenario(seed)).pomdp
+        solves[seed] = (pomdp, solve(pomdp))
+    return solves
+
+
 class TestGlobalModels:
-    """Search counts and values of three global models, pinned so that a
-    change of memo key or belief split that loses sharing shows."""
+    """Search counts and values of global models, pinned so that a change
+    of memo key, belief split or action bound that loses work shows."""
 
     @pytest.mark.parametrize("seed,nodes,memo_hits,value", [
-        (240, 1969, 11992, 313.8901719135746),
-        (365, 1600, 12001, 263.7616794030538),
-        (55, 7, 4, 16.66884918791709),
+        pytest.param(240, 785, 2074, 313.8901719135746, id="seed240"),
+        pytest.param(365, 1591, 9184, 263.7616794030538, id="seed365"),
+        pytest.param(55, 3, 0, 16.66884918791709, id="seed55"),
+        pytest.param(9, 25, 56, 916.0655075702358, id="seed9"),
     ])
     def test_counts_and_value(self, seed, nodes, memo_hits, value):
         pomdp = build_global_pomdp(random_scenario(seed)).pomdp
@@ -144,6 +156,39 @@ class TestGlobalModels:
         assert evaluate_policy(pomdp, result.policy) == pytest.approx(
             result.value, abs=1e-9
         )
+
+    def test_bound_is_admissible_and_tight_on_singletons(self, criterion_4_solves):
+        for pomdp, result in criterion_4_solves.values():
+            search = _Search(pomdp)
+            V = search.full_info
+            b0 = pomdp.indexed(pomdp.b0)
+            assert sum(m * V[s] for s, m in b0.items()) >= result.value - 1e-9
+            for s in b0:
+                single = {s: 1.0}
+                assert search.value(single, belief_key(single)) == pytest.approx(
+                    V[s], abs=1e-9
+                )
+
+    # an unbounded search chose other, float-tied policies on these seeds
+    @pytest.mark.parametrize("seed,value", [
+        pytest.param(6, 383.632147618449, id="seed6"),
+        pytest.param(21, 429.52249454647244, id="seed21"),
+        pytest.param(28, 465.5166321908839, id="seed28"),
+        pytest.param(37, 540.2487530952488, id="seed37"),
+        pytest.param(42, 550.5003362120782, id="seed42"),
+    ])
+    def test_tied_policies_keep_their_value(self, criterion_4_solves, seed, value):
+        pomdp, result = criterion_4_solves[seed]
+        assert evaluate_policy(pomdp, result.policy) == pytest.approx(value, abs=1e-9)
+
+    def test_bound_skips(self):
+        pomdp = build_global_pomdp(random_scenario(240)).pomdp
+        assert solve(pomdp).stats.bound_skips > 0
+        # one configuration: the scan is still-skipped, the exploit is the only move
+        certain = gated_pomdp(p_off=1.0, p_vuln=1.0)
+        result = solve(certain)
+        assert result.value == pytest.approx(90.0, abs=1e-9)
+        assert result.stats.bound_skips == 0
 
 
 class TestBeliefKey:
