@@ -40,6 +40,26 @@ class TestBenchmarkGeneration:
                 lambda: generate_benchmark(BenchmarkParams(machines=6, exploits=7)),
                 "d9557c8b1251d3cf78abb4e84a8758a41c9040fe041d6a9c065857587f033858",
             ),
+            (
+                lambda: generate_benchmark(BenchmarkParams(machines=1, exploits=1)),
+                "87863f7800dc47a478058728fbfe8b0f50fc1989995fdc1f6070dee02be8090d",
+            ),
+            (
+                lambda: generate_benchmark(BenchmarkParams(machines=45, exploits=14)),
+                "7a8f091eda5552235fdbcc7313e1bcea957b469d048739f85203a7763c7a171f",
+            ),
+            (
+                lambda: generate_benchmark(BenchmarkParams(machines=163, exploits=27, seed=3)),
+                "a1fedbfcdbfbc15f95526d1bb89ff95b0c419f7fd937b5f541572a5cf34d521a",
+            ),
+            (
+                lambda: random_scenario(3),
+                "424b4d056a9f66fa3045c80a3c81ffffc42e3c30d41982aa69c28db65c827bc4",
+            ),
+            (
+                lambda: random_scenario(8, singleton_tree=True),
+                "1315998bf6e46fce4e3791afb3245f692e72a4e578cb60a0a9ba6ad0e1e1a11d",
+            ),
         ],
     )
     def test_emitted_text_is_pinned(self, make, digest):

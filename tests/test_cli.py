@@ -128,6 +128,24 @@ class TestPlan:
                 lambda d: d["programs"]["DEP"]["transitions"]["disabled"].update(enabled="x"),
                 "programs.DEP.transitions.disabled.enabled must be a finite number",
             ),
+            (lambda d: d.update(subnetworks=5), "subnetworks must be a list"),
+            (lambda d: d["arcs"][0].update(blocked_ports=5), "blocked_ports must be a list"),
+            (lambda d: d["machines"][-1].update(id=["m"]), "machines[1].id must be a string"),
+            (lambda d: d["actions"][0].update(id=["x"]), "actions[0].id must be a string"),
+            (lambda d: d["actions"][0].update(id=0.5), "actions[0].id must be a string"),
+            (lambda d: d.update(start=["foothold"]), "start must be a string"),
+            (lambda d: d["arcs"][0].update({"from": ["foothold"]}), "arcs[0].from must be a string"),
+            (lambda d: d["machines"][-1].update(template=["last_pentest"]), "unknown template"),
+            (lambda d: d["machines"][-1].update(subnetwork=["office"]), "unknown subnetwork"),
+            (lambda d: d["machines"][-1].update(reward=True), "reward must be a finite number"),
+            (lambda d: d["actions"][0].update(cost_time=True), "cost_time must be a finite number"),
+            (
+                lambda d: d["programs"]["DEP"]["transitions"]["disabled"].update(enabled="0.04"),
+                "programs.DEP.transitions.disabled.enabled must be a finite number",
+            ),
+            (lambda d: d["costs"].update(exploit="10"), "costs['exploit'] must be a finite number"),
+            (lambda d: d["programs"]["SA"].update(open_states=5), "open_states must be a list"),
+            (lambda d: d.update(compatibility={"SA": 5}), "compatibility.SA must be a list"),
         ],
         ids=[
             "unknown-open-state",
@@ -143,6 +161,21 @@ class TestPlan:
             "success-not-a-mapping",
             "crash-not-a-mapping",
             "probability-not-a-number",
+            "subnetworks-not-a-list",
+            "blocked-ports-not-a-list",
+            "machine-id-list",
+            "action-id-list",
+            "action-id-number",
+            "start-list",
+            "arc-from-list",
+            "template-list",
+            "subnetwork-list",
+            "reward-bool",
+            "cost-time-bool",
+            "probability-string",
+            "cost-string",
+            "open-states-not-a-list",
+            "compatibility-entry-not-a-list",
         ],
     )
     def test_bad_program_or_action_is_invalid(self, tmp_path, capsys, edit, message):
@@ -192,6 +225,16 @@ class TestSimulate:
         capsys.readouterr()
         assert main(["simulate", str(scenario_path), str(plan_path)]) == EXIT_INVALID
         assert "no branch" in capsys.readouterr().err
+
+    def test_malformed_policy_line_is_invalid(self, scenario_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.yaml"
+        assert main(["plan", str(scenario_file), "--out", str(plan_path)]) == EXIT_OK
+        doc = yaml.safe_load(plan_path.read_text())
+        doc["components"][-1]["paths"][0]["steps"][0]["first"]["policy"] = "x1 valu=61.77"
+        plan_path.write_text(yaml.safe_dump(doc))
+        capsys.readouterr()
+        assert main(["simulate", str(scenario_file), str(plan_path)]) == EXIT_INVALID
+        assert "malformed policy line" in capsys.readouterr().err
 
 
 class TestExperiment:

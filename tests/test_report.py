@@ -68,6 +68,40 @@ class TestSerialization:
             plan_from_yaml("just: text", spec.actions)
 
 
+def _step(doc):
+    return doc["components"][1]["paths"][0]["steps"][0]
+
+
+class TestMalformedPlan:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: _step(d)["first"].update(policy="x1 valu=61.77"),
+            lambda d: d.update(components=5),
+            lambda d: d["components"].__setitem__(0, "n0"),
+            lambda d: _step(d).pop("subnetwork"),
+            lambda d: _step(d).update(value="x"),
+            lambda d: _step(d).update(entry_blocked_ports=5),
+            lambda d: _step(d)["first"].update(policy=5),
+        ],
+        ids=[
+            "policy-line",
+            "components-number",
+            "component-string",
+            "step-without-subnetwork",
+            "value-string",
+            "blocked-ports-number",
+            "policy-number",
+        ],
+    )
+    def test_rejected_with_report_error(self, planned, edit):
+        spec, plan = planned
+        doc = yaml.safe_load(plan_to_yaml(plan))
+        edit(doc)
+        with pytest.raises(ReportError):
+            plan_from_yaml(yaml.safe_dump(doc), spec.actions)
+
+
 class TestFormatPlan:
     def test_mentions_value_and_components(self, planned):
         _, plan = planned

@@ -1,10 +1,12 @@
+import copy
 import re
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
-from pentestplan.netmodel import ScenarioSyntaxError, ScenarioValidationError
-from pentestplan.bench import random_scenario
+from pentestplan.netmodel import ScenarioError, ScenarioSyntaxError, ScenarioValidationError
+from pentestplan.bench import random_scenario, worked_example_scenario
 from pentestplan.scenario import (
     DEFAULT_COSTS,
     SAFE_LOADER,
@@ -218,6 +220,46 @@ class TestParse:
         doc["actions"][0]["success"] = {"ghost": ["v1"]}
         with pytest.raises(ScenarioValidationError):
             parse_scenario(yaml.safe_dump(doc))
+
+
+def _node_paths(node, path=()):
+    """Key paths to every node below ``node``."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+_DOCS = (yaml.safe_load(emit_scenario(worked_example_scenario())), yaml.safe_load(MINIMAL))
+_NODES = [(doc, path) for doc in _DOCS for path in _node_paths(doc)]
+_KEYS = st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+_VALUES = st.recursive(
+    _KEYS | st.floats(),  # floats include nan and +-inf
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=4,
+)
+
+
+class TestMutatedDocuments:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(node=st.sampled_from(_NODES), value=_VALUES)
+    def test_parses_or_raises_scenario_error(self, node, value):
+        # one node of a valid document replaced by a drawn value
+        doc, path = node
+        doc = copy.deepcopy(doc)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        try:
+            scenario_from_dict(doc)
+        except ScenarioError:
+            pass
 
 
 class TestLoader:
