@@ -146,6 +146,12 @@ class TestPlan:
             (lambda d: d["costs"].update(exploit="10"), "costs['exploit'] must be a finite number"),
             (lambda d: d["programs"]["SA"].update(open_states=5), "open_states must be a list"),
             (lambda d: d.update(compatibility={"SA": 5}), "compatibility.SA must be a list"),
+            (lambda d: d["programs"]["SA"].update(os="false"), "programs.SA.os must be a boolean"),
+            (lambda d: d["programs"]["SA"].update(os=1), "programs.SA.os must be a boolean"),
+            (
+                lambda d: next(a for a in d["actions"] if a["id"] == "exploit_SA").update(port=[1]),
+                "action 'exploit_SA'.port: port must be an integer",
+            ),
         ],
         ids=[
             "unknown-open-state",
@@ -176,6 +182,9 @@ class TestPlan:
             "cost-string",
             "open-states-not-a-list",
             "compatibility-entry-not-a-list",
+            "os-string",
+            "os-number",
+            "action-port-list",
         ],
     )
     def test_bad_program_or_action_is_invalid(self, tmp_path, capsys, edit, message):

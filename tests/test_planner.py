@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -19,6 +20,7 @@ from pentestplan.planner import (
     decompose,
     plan_attack,
 )
+from pentestplan.report import plan_to_yaml
 from pentestplan.solver import solve
 
 
@@ -297,7 +299,35 @@ class TestPlanning:
         # one solve cache keyed by template; zero-reward attacks are
         # shortcut before the cache is consulted and never counted as hits
         stats = plan_attack(generate_benchmark(BenchmarkParams(2000, 13))).stats
-        assert (stats.solves, stats.cache_hits, stats.shortcut_zero_reward) == (62, 314, 9912)
+        assert (stats.solves, stats.cache_hits, stats.shortcut_zero_reward) == (62, 76, 134)
+
+    # random_scenario 15 and 215 are the seeds in 0..399 with both a component
+    # of three or more subnetworks and a follow-up sibling attack
+    @pytest.mark.parametrize(
+        "make_spec, digest",
+        [
+            (
+                lambda: generate_benchmark(BenchmarkParams(2000, 13)),
+                "bb40cd9656a1353e36b4a7c4ad2fdf377474523dbff433babe2d77d0c6f73cf1",
+            ),
+            (
+                lambda: generate_benchmark(BenchmarkParams(100, 100)),
+                "9244f22c53f49c83eb9e2269c5e1da8f56472b53940a8227308005d32f8d9a1e",
+            ),
+            (
+                lambda: random_scenario(15),
+                "b04fed2105cbe128847850734a2c4b88b8893fab43253df2652deaae27e006ec",
+            ),
+            (
+                lambda: random_scenario(215),
+                "2aa4c1b473944ba3d3c9bf35bca02abce0c1545582ba72a6ae133202d43bcb10",
+            ),
+        ],
+        ids=["wide-2000x13", "benchmark-100x100", "random-15", "random-215"],
+    )
+    def test_plan_file_digest(self, make_spec, digest):
+        text = plan_to_yaml(plan_attack(make_spec()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 PLAN_YAML = """
