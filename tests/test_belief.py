@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +83,38 @@ class TestDependencyModel:
         )
         assert model.compatible(("old", "old"))
         assert not model.compatible(("old", "new"))
+
+    def test_compatible_reads_parents_by_name(self):
+        # parents listed out of program order, one unconstrained program in
+        # between: compare against the constraint read by program name
+        chain = MarkovChain(("a", "b", "c"), np.eye(3))
+        top = ProgramModel("top", chain, parents=("low", "base"))
+        mid = ProgramModel("mid", chain)
+        base = ProgramModel("base", chain)
+        low = ProgramModel("low", chain, parents=("base",))
+        compatibility = {
+            "top": {("a", "a", "a"), ("b", "c", "a"), ("c", "b", "c")},
+            "low": {("a", "a"), ("c", "a"), ("b", "c")},
+        }
+        model = DependencyModel(programs=(top, mid, base, low), compatibility=compatibility)
+        seen = set()
+        for config in itertools.product("abc", repeat=4):
+            v = dict(zip(("top", "mid", "base", "low"), config))
+            expected = (
+                (v["top"], v["low"], v["base"]) in compatibility["top"]
+                and (v["low"], v["base"]) in compatibility["low"]
+            )
+            assert model.compatible(config) == expected
+            seen.add(expected)
+        assert seen == {True, False}
+
+    def test_program_by_name(self):
+        a = ProgramModel("a", two_state_chain())
+        b = ProgramModel("b", two_state_chain(), port=80)
+        model = DependencyModel(programs=(a, b))
+        assert model.program("b") is b and model.program("a") is a
+        with pytest.raises(KeyError):
+            model.program("ghost")
 
 
 class TestInitialBelief:

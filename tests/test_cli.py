@@ -221,6 +221,17 @@ class TestSimulate:
         assert code == EXIT_OK
         assert capsys.readouterr().out.startswith("# rollout seed=")
 
+    @pytest.mark.parametrize("extra", [[], ["--trace"]], ids=["monte-carlo", "trace"])
+    def test_plan_of_another_scenario_is_invalid(self, tmp_path, capsys, extra):
+        net, plan, other = (tmp_path / f for f in ("net.yaml", "plan.yaml", "other.yaml"))
+        main(["gen", "--machines", "30", "--exploits", "20", "--seed", "7", "--out", str(net)])
+        assert main(["plan", str(net), "--out", str(plan)]) == EXIT_OK
+        main(["gen", "--machines", "10", "--exploits", "20", "--seed", "2", "--out", str(other)])
+        capsys.readouterr()
+        code = main(["simulate", str(other), str(plan), "--rollouts", "10"] + extra)
+        assert code == EXIT_INVALID
+        assert "'user02'" in capsys.readouterr().err
+
     def test_policy_without_branch_is_invalid(self, tmp_path, capsys):
         scenario_path = tmp_path / "example.yaml"
         plan_path = tmp_path / "plan.yaml"

@@ -41,6 +41,16 @@ def make_model():
     return DependencyModel(programs=(svc, osp))
 
 
+def shared_port_program():
+    """A second program bound to port 8080, open when ``listening``."""
+    return ProgramModel(
+        "aux",
+        MarkovChain(("listening", "closed"), [[0.5, 0.5], [0.0, 1.0]]),
+        port=8080,
+        open_states=frozenset({"listening"}),
+    )
+
+
 def exploit(crash=False):
     return ActionSpec(
         id="x",
@@ -92,6 +102,46 @@ class TestLocalOutcome:
         model = make_model()
         state = ConfigState(("vulnerable", "linux"))
         assert local_outcome(model, DETECT, state)[1] == os_report("linux")
+
+    @pytest.mark.parametrize(
+        "config, crashed, expected",
+        [
+            (("vulnerable", "closed"), (), OBS_OPEN),
+            (("patched", "listening"), (), OBS_OPEN),
+            (("vulnerable", "listening"), (), OBS_OPEN),
+            (("patched", "closed"), (), OBS_CLOSED),
+            (("vulnerable", "listening"), ("svc",), OBS_OPEN),
+            (("vulnerable", "listening"), ("aux",), OBS_OPEN),
+            (("vulnerable", "closed"), ("svc",), OBS_CLOSED),
+            (("patched", "listening"), ("aux",), OBS_CLOSED),
+            (("vulnerable", "listening"), ("svc", "aux"), OBS_CLOSED),
+        ],
+    )
+    def test_shared_port_reads_open_if_any_uncrashed_program_is_open(
+        self, config, crashed, expected
+    ):
+        model = DependencyModel(programs=(make_model().programs[0], shared_port_program()))
+        state = ConfigState(config, frozenset(crashed))
+        assert local_outcome(model, SCAN, state)[1] == expected
+
+    def test_os_detect_without_os_program_reports_unknown(self):
+        model = DependencyModel(programs=(make_model().programs[0],))
+        state = ConfigState(("vulnerable",))
+        assert local_outcome(model, DETECT, state)[1] == os_report("unknown")
+
+    def test_os_detect_reports_the_first_os_program(self):
+        bsd = ProgramModel("bsd", MarkovChain(("freebsd",), [[1.0]]), is_os=True)
+        svc, linux = make_model().programs
+        for programs, expected in [
+            ((svc, linux, bsd), "linux"),
+            ((bsd, svc, linux), "freebsd"),
+        ]:
+            model = DependencyModel(programs=programs)
+            config = tuple(
+                {"svc": "vulnerable", "sys": "linux", "bsd": "freebsd"}[p.name]
+                for p in programs
+            )
+            assert local_outcome(model, DETECT, ConfigState(config))[1] == os_report(expected)
 
     def test_successful_exploit_takes_control(self):
         model = make_model()
@@ -173,6 +223,18 @@ class TestInformativeActions:
         states = [ConfigState(("patched",))]
         catalog = [exploit(crash=True), SCAN]
         kept = informative_actions(model, states, catalog)
+        assert exploit(crash=True) in kept
+
+    def test_crash_exploit_on_a_shared_port_kept(self):
+        # svc's port never reads open, so the one-step check finds its crash
+        # invisible; with aux bound to the same port the check is skipped
+        never_open = ProgramModel("svc", service_chain(), port=8080)
+        catalog = [exploit(crash=True), SCAN]
+        alone = DependencyModel(programs=(never_open,))
+        assert informative_actions(alone, [ConfigState(("patched",))], catalog) == []
+        shared = DependencyModel(programs=(shared_port_program(), never_open))
+        states = [ConfigState(("listening", "patched")), ConfigState(("closed", "patched"))]
+        kept = informative_actions(shared, states, catalog)
         assert exploit(crash=True) in kept
 
 

@@ -130,6 +130,26 @@ class TestRollout:
         with pytest.raises(SimulationError, match="missing"):
             rollout(spec, plan, GroundTruth(configs={}, seed=0))
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda plan: setattr(plan.components[1], "parent", "dmz"), "subnetwork 'dmz'"),
+            (lambda plan: setattr(plan.components[2].paths[0].steps[0], "subnetwork", "dmz"),
+             "subnetwork 'dmz'"),
+            (lambda plan: setattr(plan.components[2].paths[0].steps[0].first, "machine_id", "m9"),
+             "machine 'm9'"),
+            (lambda plan: setattr(plan.components[2].paths[0].steps[0].first, "machine_id", "m001"),
+             "machine 'm001', which is not in subnetwork 'user00'"),
+        ],
+        ids=["parent", "step", "machine", "other-subnetwork"],
+    )
+    def test_plan_of_another_network_rejected(self, mutate, message):
+        spec = generate_benchmark(BenchmarkParams(4, 3))
+        plan = plan_attack(spec)
+        mutate(plan)
+        with pytest.raises(SimulationError, match=message):
+            monte_carlo(spec, plan, 5, 0)
+
     def test_monte_carlo_needs_rollouts(self):
         spec = random_scenario(3)
         plan = plan_attack(spec)
