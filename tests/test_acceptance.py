@@ -23,13 +23,14 @@ from pentestplan.netmodel import EMPTY_FIREWALL, Machine
 from pentestplan.planner import biconnected_decomposition, plan_attack
 from pentestplan.pomdp import (
     ActionSpec,
+    ConfigState,
     OBS_FAILED,
     OBS_OPEN,
     belief_step,
     build_machine_pomdp,
 )
 from pentestplan.solver import brute_force_value, evaluate_policy, solve
-from pentestplan.sim import monte_carlo_pomdp
+from pentestplan.sim import rollout_pomdp, sampled_mean
 
 from test_planner import oracle_components, oracle_cut_vertices
 
@@ -236,7 +237,10 @@ def test_criterion_8_simulator_consistency():
         )
         result = solve(pomdp)
         exact = evaluate_policy(pomdp, result.policy)
-        mean, stderr = monte_carlo_pomdp(pomdp, result.policy, 2000, seed)
+        mean, stderr = sampled_mean(
+            spec, 2000, seed,
+            lambda t: rollout_pomdp(pomdp, result.policy, ConfigState(t.configs[machine.id])).total,
+        )
         assert abs(mean - exact) <= 3 * max(stderr, 1e-9)
         checked += 1
     print(

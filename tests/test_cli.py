@@ -292,3 +292,17 @@ class TestUsage:
 
     def test_bad_flag_value(self):
         assert main(["gen", "--machines", "lots"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--machines", "0"],
+            ["gen", "--days", "-1"],
+            ["experiment", "--machines", "0", "--repetitions", "0"],
+            ["gen", "--preset", "random", "--machines", "0"],
+        ],
+        ids=["gen-machines", "gen-days", "experiment-machines", "random-machines"],
+    )
+    def test_bad_generator_size(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: need ")

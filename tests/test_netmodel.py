@@ -66,6 +66,12 @@ class TestNetworkValidation:
         assert net.start_machine.id == "attacker"
         assert net.subnetwork_of("db") == "lan"
         assert net.machine("web").reward == 100.0
+        # "dmz" is given as (web, mail)
+        assert [m.id for m in net.subnetworks["dmz"]] == ["mail", "web"]
+        with pytest.raises(KeyError):
+            net.machine("nowhere")
+        with pytest.raises(KeyError):
+            net.subnetwork_of("nowhere")
 
     def test_duplicate_machine_id(self):
         with pytest.raises(ScenarioValidationError, match="duplicate"):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,16 +12,16 @@ from pentestplan.bench import (
 )
 from pentestplan.netmodel import EMPTY_FIREWALL
 from pentestplan.planner import plan_attack
-from pentestplan.pomdp import build_machine_pomdp
+from pentestplan.pomdp import ConfigState, build_machine_pomdp
 from pentestplan.sim import (
     GroundTruth,
     SimulationError,
     format_trace,
     monte_carlo,
-    monte_carlo_pomdp,
     rollout,
     rollout_pomdp,
     sample_ground_truth,
+    sampled_mean,
     scenario_beliefs,
 )
 from pentestplan.solver import PolicyNode, evaluate_policy, solve
@@ -171,12 +172,39 @@ class TestRollout:
         assert monte_carlo(spec, plan, 50, 1) == monte_carlo(spec, plan, 50, 1)
 
 
+@pytest.fixture(scope="module")
+def wide():
+    spec = generate_benchmark(BenchmarkParams(2000, 13))
+    return spec, plan_attack(spec), scenario_beliefs(spec)
+
+
+class TestTraceDigest:
+    # seed 3's first attack fails after one step; seed 162 is the longest trace
+    # among seeds 0..299 (12 steps, 11 machines controlled)
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "739d619467e162b67ae5b998f12d094ca186d4c1d312cba39f793926c652c0d3"),
+            (1, "c57e20730769b8881cdb71e55c43ce096ae32eb8debdcc33b6b38afbd954f477"),
+            (3, "bb67c3c54bdb7b82adbd2b723ab8bda383cd3783345700ccd15d2bedbec6234f"),
+            (162, "b6378c7e1cf9e8be5134ec2a019f3d797fdfd15dba84c412bd1d83b7b0c03d96"),
+        ],
+    )
+    def test_wide_plan_trace_digest(self, wide, seed, digest):
+        spec, plan, beliefs = wide
+        text = format_trace(rollout(spec, plan, sample_ground_truth(beliefs, seed)), seed)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestPomdpRollout:
     def test_single_machine_mc_tracks_exact_value(self, example):
-        _, pomdp = example
+        spec, pomdp = example
         result = solve(pomdp)
         exact = evaluate_policy(pomdp, result.policy)
-        mean, stderr = monte_carlo_pomdp(pomdp, result.policy, 2000, 0)
+        mean, stderr = sampled_mean(
+            spec, 2000, 0,
+            lambda t: rollout_pomdp(pomdp, result.policy, ConfigState(t.configs["m"])).total,
+        )
         assert abs(mean - exact) <= 3 * max(stderr, 1e-9)
 
     def test_rollout_trace_totals(self, example):
