@@ -306,3 +306,33 @@ class TestUsage:
     def test_bad_generator_size(self, capsys, argv):
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error: need ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "{scenario}", "{plan}", "--rollouts", "-2"],
+            ["experiment", "--machines", "1", "--exploits", "1", "--repetitions", "-1"],
+            ["plan", "{scenario}", "--component-size-limit", "0"],
+            ["plan", "{scenario}", "--baseline", "--max-global-states", "-5"],
+            ["experiment", "--machines", "1", "--exploits", "1", "--repetitions", "0",
+             "--component-size-limit", "0"],
+            ["experiment", "--mode", "global", "--machines", "1", "--exploits", "1",
+             "--repetitions", "0", "--max-global-states", "0"],
+        ],
+        ids=[
+            "simulate-rollouts",
+            "experiment-repetitions",
+            "plan-component-size-limit",
+            "plan-max-global-states",
+            "experiment-component-size-limit",
+            "experiment-max-global-states",
+        ],
+    )
+    def test_bad_count_or_bound(self, scenario_file, tmp_path, capsys, argv):
+        # a count or bound out of range is a bad flag, not a bad file or a bound hit
+        plan_path = tmp_path / "plan.yaml"
+        assert main(["plan", str(scenario_file), "--out", str(plan_path)]) == EXIT_OK
+        capsys.readouterr()
+        argv = [arg.format(scenario=scenario_file, plan=plan_path) for arg in argv]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: argument --")

@@ -1,10 +1,21 @@
 import hashlib
+import math
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from pentestplan.bench import random_scenario
-from pentestplan.planner import plan_attack
+from pentestplan.planner import (
+    ComponentPlan,
+    MachineAttack,
+    NetworkPlan,
+    PathPlan,
+    PlanStats,
+    SubnetworkPlan,
+    plan_attack,
+)
+from pentestplan.pomdp import TERMINATE_ACTION
 from pentestplan.report import (
     ReportError,
     format_plan,
@@ -14,6 +25,7 @@ from pentestplan.report import (
 )
 from pentestplan.scenario import SAFE_LOADER
 from pentestplan.sim import monte_carlo, rollout, sample_ground_truth, scenario_beliefs
+from pentestplan.solver import PolicyNode
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +128,72 @@ class TestFormatPlan:
         restored = plan_from_yaml(plan_to_yaml(plan), spec.actions)
         text = format_plan(restored)  # no stats on a restored plan
         assert "network attack plan" in text
+
+
+def _oracle(plan) -> str:
+    """The plan text as PyYAML's representer and serializer write it."""
+    return yaml.safe_dump(plan_to_dict(plan), sort_keys=True, default_flow_style=False)
+
+
+_AWKWARD_IDS = st.sampled_from(
+    ["yes", "null", "0x1f", "1e3", "- a", "a: b", "#x", " lead", "trail ", "naïve ü", "", "x " * 50]
+) | st.text(max_size=8)
+_AWKWARD_NUMBERS = st.sampled_from([1e17, -0.0, math.inf, -math.inf, math.nan]) | st.floats()
+
+
+@st.composite
+def _attacks(draw, policies):
+    return MachineAttack(
+        machine_id=draw(_AWKWARD_IDS),
+        blocked_ports=frozenset(draw(st.lists(st.integers(0, 65535), max_size=3))),
+        composite_reward=draw(_AWKWARD_NUMBERS),
+        value=draw(_AWKWARD_NUMBERS),
+        policy=draw(policies),
+    )
+
+
+@st.composite
+def _plans(draw, policies):
+    steps = [
+        SubnetworkPlan(
+            subnetwork=draw(_AWKWARD_IDS),
+            entry_blocked_ports=frozenset(draw(st.lists(st.integers(0, 65535), max_size=3))),
+            first=draw(st.none() | _attacks(policies)),
+            others=draw(st.lists(_attacks(policies), max_size=2)),
+            value=draw(_AWKWARD_NUMBERS),
+        )
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    path = PathPlan(target=draw(_AWKWARD_IDS), steps=steps, value=draw(_AWKWARD_NUMBERS))
+    component = ComponentPlan(
+        members=tuple(draw(st.lists(_AWKWARD_IDS, max_size=3))),
+        parent=draw(st.none() | _AWKWARD_IDS),
+        paths=[path],
+        value=draw(_AWKWARD_NUMBERS),
+    )
+    return NetworkPlan(value=draw(_AWKWARD_NUMBERS), components=[component], stats=PlanStats())
+
+
+class TestPlanWriter:
+    # plan_to_yaml emits events itself; its text must stay the oracle's, byte for byte
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_scenario_plan_text_matches_oracle(self, seed):
+        plan = plan_attack(random_scenario(seed))
+        assert plan_to_yaml(plan) == _oracle(plan)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_awkward_plan_text_matches_oracle(self, planned, data):
+        _, real = planned
+        solved = [
+            attack.policy
+            for comp in real.components
+            for path in comp.paths
+            for step in path.steps
+            for attack in [step.first, *step.others]
+            if attack is not None
+        ]
+        leaves = [PolicyNode(TERMINATE_ACTION, value=v) for v in (0.0, -0.0, 1e17, math.nan)]
+        policies = st.sampled_from(leaves + solved)
+        plan = data.draw(_plans(policies))
+        assert plan_to_yaml(plan) == _oracle(plan)

@@ -272,6 +272,117 @@ class TestLoader:
         assert yaml.load(MINIMAL, Loader=SAFE_LOADER) == yaml.safe_load(MINIMAL)
 
 
+_BASE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _load(text, loader):
+    try:
+        return yaml.load(text, Loader=loader)
+    except Exception as exc:
+        return exc
+
+
+def _same(a, b, seen=None) -> bool:
+    """``a == b`` with the same type at every node; nan equals nan, not 0.0 -0.0.
+
+    Exceptions compare by type and message; a collection reached again
+    (through a recursive alias) compares as the same.
+    """
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Exception):
+        return str(a) == str(b)
+    if isinstance(a, float):
+        return repr(a) == repr(b)
+    if isinstance(a, (dict, list)):
+        seen = set() if seen is None else seen
+        if (id(a), id(b)) in seen:
+            return True
+        seen.add((id(a), id(b)))
+    if isinstance(a, dict):
+        a, b = list(a.items()), list(b.items())
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y, seen) for x, y in zip(a, b))
+    return a == b
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_SCALARS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestLoaderEquivalence:
+    # SAFE_LOADER builds plain documents itself and hands every other one to
+    # the loader it extends; either way the result is that loader's
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a: &x [1, 2]\nb: *x\n",
+            "[&s text, *s, &n 1.5, *n]",
+            "&a [*a]",
+            "&m {self: *m}",
+            "base: &b {x: 1, y: 2}\nchild:\n  <<: *b\n  y: 3\n",
+            "{=: a, b: c}",
+            "? [a, b]\n: c\n",
+            "? {a: 1}\n: c\n",
+            "{1.5: a, ~: b, 0x1f: c, true: d, 017: e, 1:20: f}",
+            "!!set {a, b}",
+            "!!omap [{a: 1}, {b: 2}]",
+            "!!pairs [{a: 1}, {a: 2}]",
+            "!!binary aGVsbG8=",
+            "t: 2001-12-14t21:59:43.10-05:00\nd: 2002-12-14\n",
+            "[.inf, -.inf, .nan, -0.0, 1e3, 1.0e+17, 0o17, yes, No, off, '', ~]",
+            "!!int abc",
+            "[!!int '', !!float '', !!bool '', !!int 0b]",
+            "[ok, !!float x]",
+            "{a: !!bool maybe}",
+            "!!str [a]",
+            "!!map [a]",
+            "!!seq {a: 1}",
+            "!custom x",
+            "[!!str 1, !!float 1, !!null '', !!int '7']",
+            "[1.5, '1.5', 'yes', yes, \"~\", ~]",  # the same text plain and quoted
+            "{a: 1, a: 2}",
+            "",
+            "# only a comment\n",
+        ],
+    )
+    def test_document_loads_as_the_base_loader_loads_it(self, text):
+        ours, base = _load(text, SAFE_LOADER), _load(text, _BASE_LOADER)
+        assert _same(ours, base), (ours, base)
+
+    def test_alias_sharing_is_kept(self):
+        doc = yaml.load("a: &x [1, 2]\nb: *x\nc: [1, 2]\n", Loader=SAFE_LOADER)
+        assert doc["a"] is doc["b"] and doc["a"] is not doc["c"]
+        loop = yaml.load("&a [*a]", Loader=SAFE_LOADER)
+        assert loop[0] is loop
+
+    def test_nesting_deeper_than_the_walk_recurses(self):
+        text = "[" * 600 + "]" * 600
+        doc, base = _load(text, SAFE_LOADER), _load(text, _BASE_LOADER)
+        if isinstance(base, RecursionError):  # without libyaml, the composer recurses too
+            assert type(doc) is RecursionError
+            return
+        for _ in range(599):
+            assert type(doc) is list and len(doc) == 1
+            doc = doc[0]
+        assert doc == []
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_emitted_scenario_loads_the_same(self, seed):
+        text = emit_scenario(random_scenario(seed))
+        assert _same(_load(text, SAFE_LOADER), _load(text, _BASE_LOADER))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(doc=_TREES)
+    def test_dumped_tree_loads_the_same(self, doc):
+        text = yaml.safe_dump(doc)
+        assert _same(_load(text, SAFE_LOADER), _load(text, _BASE_LOADER))
+
+
 class TestFromDict:
     def test_same_spec_as_parsing(self):
         spec = scenario_from_dict(yaml.safe_load(MINIMAL))
