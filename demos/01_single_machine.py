@@ -27,9 +27,10 @@ print(f"belief support: {len(belief)} configurations")
 for config, mass in sorted(belief.items(), key=lambda kv: -kv[1])[:5]:
     print(f"  {mass:.4f}  {dict(zip(spec.model.names, config))}")
 
-# Compile the machine into a decision problem: states are the candidate
-# configurations (plus crash variants, a controlled state, and a terminal
-# state), actions are the usable scans and exploits plus terminate.
+# Compile the machine into a decision problem: states are a controlled
+# state and the candidate configurations (plus crash variants), actions are
+# the scans and exploits that pass the firewall and can tell or change
+# something.  Stopping needs no action: it is worth 0, the value floor.
 pomdp = build_machine_pomdp(
     machine, EMPTY_FIREWALL, machine.reward,
     belief, spec.actions, spec.model,

@@ -2,6 +2,7 @@ import hashlib
 import math
 
 import pytest
+import yaml
 
 from pentestplan.bench import (
     BenchmarkError,
@@ -17,9 +18,9 @@ from pentestplan.bench import (
     worked_example_scenario,
 )
 from pentestplan.planner import plan_attack
-from pentestplan.pomdp import CONTROLLED, TERMINAL
+from pentestplan.pomdp import CONTROLLED
 from pentestplan.scenario import emit_scenario, parse_scenario, scenario_from_dict
-from pentestplan.solver import solve
+from pentestplan.solver import format_policy, solve
 
 
 def sha256(text: str) -> str:
@@ -164,9 +165,7 @@ def scan_after_crash_scenario():
 
 
 def decode(gp, state):
-    """A global state as its tuple of local states (``TERMINAL`` as is)."""
-    if isinstance(state, str):
-        return state
+    """A global state as its tuple of local states."""
     return tuple(local[c] for local, c in zip(gp.local_states, state))
 
 
@@ -183,8 +182,7 @@ class TestGlobalBaseline:
     @pytest.mark.parametrize("seed", [*range(40), 49, 55, 111, 240, 270, 279, 304, 365])
     def test_states_sort_like_their_decoded_strings(self, seed):
         gp = build_global_pomdp(random_scenario(seed))
-        decoded = [decode(gp, s) for s in gp.pomdp.states[1:]]
-        assert gp.pomdp.states[0] == TERMINAL
+        decoded = [decode(gp, s) for s in gp.pomdp.states]
         assert decoded == sorted(decoded, key=local_order)
 
     @pytest.mark.parametrize("seed", [0, 2, 7, 55])
@@ -205,6 +203,32 @@ class TestGlobalBaseline:
         # it tells whether y can work, so the global model must keep it too
         assert value == pytest.approx(38.947253, abs=1e-6)
         assert "m.scan100" in [a.id for a in gp.pomdp.actions]
+
+    def test_exact_values_and_policies_pinned(self):
+        # plan digests do not cover the global model's policies
+        digest = hashlib.sha256()
+        for seed in range(40):
+            result = solve(build_global_pomdp(random_scenario(seed)).pomdp)
+            digest.update(f"{seed} {result.value!r}\n{format_policy(result.policy)}\n".encode())
+        assert digest.hexdigest() == (
+            "e79efe20a81d2d415912b88068b692dc37115e4f31fd1810443153cf27d7ce66"
+        )
+
+    def test_machine_without_moves(self):
+        # a second machine on which no action can succeed or tell anything:
+        # its model has no moves, and it adds nothing to the global value
+        doc = yaml.safe_load(emit_scenario(worked_example_scenario()))
+        doc["machines"].append(
+            {"id": "n", "subnetwork": "office", "template": "hardened", "reward": 50.0}
+        )
+        doc["templates"]["hardened"] = {"DEP": "enabled", "SA": "absent", "CAU": "absent"}
+        spec = scenario_from_dict(doc)
+        gp = build_global_pomdp(spec)
+        assert gp.machine_order == ("m", "n")
+        assert not any(a.id.startswith("n.") for a in gp.pomdp.actions)
+        assert gp.local_states[1][0] is CONTROLLED and len(gp.local_states[1]) == 2
+        alone = solve(build_global_pomdp(worked_example_scenario()).pomdp)
+        assert solve(gp.pomdp).value == pytest.approx(alone.value, abs=1e-12)
 
     def test_state_bound_enforced(self):
         spec = generate_benchmark(BenchmarkParams(machines=4, exploits=4, seed=0))

@@ -232,6 +232,20 @@ class TestSimulate:
         assert code == EXIT_INVALID
         assert "'user02'" in capsys.readouterr().err
 
+    def test_plan_through_a_closed_firewall_is_invalid(self, tmp_path, capsys):
+        net, plan = tmp_path / "net.yaml", tmp_path / "plan.yaml"
+        main(["gen", "--machines", "30", "--exploits", "20", "--seed", "7", "--out", str(net)])
+        assert main(["plan", str(net), "--out", str(plan)]) == EXIT_OK
+        doc = yaml.safe_load(net.read_text())
+        ports = sorted({a["port"] for a in doc["actions"] if "port" in a})
+        (arc,) = [a for a in doc["arcs"] if (a["from"], a["to"]) == ("internet", "exposed")]
+        arc["blocked_ports"] = ports
+        net.write_text(yaml.safe_dump(doc))
+        capsys.readouterr()
+        code = main(["simulate", str(net), str(plan), "--rollouts", "200", "--seed", "0"])
+        assert code == EXIT_INVALID
+        assert "no arc into it" in capsys.readouterr().err
+
     def test_policy_without_branch_is_invalid(self, tmp_path, capsys):
         scenario_path = tmp_path / "example.yaml"
         plan_path = tmp_path / "plan.yaml"

@@ -12,13 +12,11 @@ from pentestplan.pomdp import (
     OBS_NONE,
     OBS_OPEN,
     OBS_SUCCEEDED,
-    TERMINAL,
-    TERMINATE_ACTION,
     belief_step,
     build_machine_pomdp,
+    crash_closure,
     informative_actions,
     local_outcome,
-    os_report,
     step,
     tabulate,
 )
@@ -101,7 +99,7 @@ class TestLocalOutcome:
     def test_os_detect_reports_version(self):
         model = make_model()
         state = ConfigState(("vulnerable", "linux"))
-        assert local_outcome(model, DETECT, state)[1] == os_report("linux")
+        assert local_outcome(model, DETECT, state)[1] == "os=linux"
 
     @pytest.mark.parametrize(
         "config, crashed, expected",
@@ -127,7 +125,7 @@ class TestLocalOutcome:
     def test_os_detect_without_os_program_reports_unknown(self):
         model = DependencyModel(programs=(make_model().programs[0],))
         state = ConfigState(("vulnerable",))
-        assert local_outcome(model, DETECT, state)[1] == os_report("unknown")
+        assert local_outcome(model, DETECT, state)[1] == "os=unknown"
 
     def test_os_detect_reports_the_first_os_program(self):
         bsd = ProgramModel("bsd", MarkovChain(("freebsd",), [[1.0]]), is_os=True)
@@ -141,7 +139,7 @@ class TestLocalOutcome:
                 {"svc": "vulnerable", "sys": "linux", "bsd": "freebsd"}[p.name]
                 for p in programs
             )
-            assert local_outcome(model, DETECT, ConfigState(config))[1] == os_report(expected)
+            assert local_outcome(model, DETECT, ConfigState(config))[1] == f"os={expected}"
 
     def test_successful_exploit_takes_control(self):
         model = make_model()
@@ -238,26 +236,37 @@ class TestInformativeActions:
         assert exploit(crash=True) in kept
 
 
-def build(belief=None, crash=False, prune=False, firewall=EMPTY_FIREWALL):
-    model = make_model()
-    machine = Machine("m", "t0", 100.0)
-    if belief is None:
-        belief = {
-            ("vulnerable", "linux"): 0.4,
-            ("patched", "linux"): 0.6,
-        }
+BELIEF = {("vulnerable", "linux"): 0.4, ("patched", "linux"): 0.6}
+
+
+def build(belief=BELIEF, crash=False, firewall=EMPTY_FIREWALL):
     actions = [exploit(crash=crash), SCAN, DETECT]
-    return build_machine_pomdp(
-        machine, firewall, 100.0, belief, actions, model,
-        prune_inert_actions=prune,
-    )
+    machine = Machine("m", "t0", 100.0)
+    return build_machine_pomdp(machine, firewall, 100.0, belief, actions, make_model())
+
+
+def unpruned(crash=False):
+    """``build()``'s model over the whole catalog, tabulated without pruning."""
+    model = make_model()
+    actions = [exploit(crash=crash), SCAN, DETECT]
+    closure = crash_closure(model, BELIEF, actions)
+    configs = sorted(closure, key=lambda s: (s.config, sorted(s.crashed)))
+
+    def outcome(state, action):
+        if state is CONTROLLED:
+            return state, (OBS_SUCCEEDED if action.kind == "exploit" else OBS_NONE), action.r_t
+        nxt, obs, success = local_outcome(model, action, state)
+        return nxt, obs, action.r_t + (100.0 if success else 0.0)
+
+    b0 = {ConfigState(c): m for c, m in BELIEF.items()}
+    return tabulate("m", (CONTROLLED, *configs), actions, outcome, b0)
 
 
 class TestBuildMachinePomdp:
     def test_state_space_contents(self):
         pomdp = build()
-        assert TERMINAL in pomdp.states and CONTROLLED in pomdp.states
-        assert len(pomdp.states) == 4  # terminal, controlled, two configs
+        assert pomdp.states[0] is CONTROLLED
+        assert len(pomdp.states) == 3  # controlled, two configs
 
     def test_crash_closure_adds_states(self):
         pomdp = build(crash=True)
@@ -270,15 +279,8 @@ class TestBuildMachinePomdp:
 
     def test_firewall_filters_actions(self):
         pomdp = build(firewall=Firewall(frozenset({8080})))
-        ids = {a.id for a in pomdp.actions}
-        assert ids == {"d", "terminate"}  # port actions blocked, detect free
-
-    def test_terminate_always_present_and_absorbing(self):
-        pomdp = build()
-        assert any(a.kind == "terminate" for a in pomdp.actions)
-        for s in pomdp.states:
-            nxt, _, r = step(pomdp, s, TERMINATE_ACTION)
-            assert nxt == TERMINAL and r == 0.0
+        # no port action is left, and detect passes but reads linux everywhere
+        assert pomdp.actions == ()
 
     def test_success_reward_is_cost_plus_break_in(self):
         pomdp = build()
@@ -303,8 +305,9 @@ class TestBuildMachinePomdp:
             )
 
     def test_pruning_preserves_value(self):
-        full = build(crash=True, prune=False)
-        pruned = build(crash=True, prune=True)
+        full = unpruned(crash=True)
+        pruned = build(crash=True)
+        assert len(pruned.actions) < len(full.actions)
         assert solve(pruned).value == pytest.approx(solve(full).value, abs=1e-9)
 
 
@@ -318,7 +321,7 @@ class TestStepAndBeliefStep:
     def test_step_rejects_filtered_action(self):
         pomdp = build(firewall=Firewall(frozenset({8080})))
         with pytest.raises(ModelError):
-            step(pomdp, TERMINAL, SCAN)
+            step(pomdp, CONTROLLED, SCAN)
 
     @pytest.mark.parametrize("state", ["nowhere", ["vulnerable", "linux"]])
     def test_step_rejects_unknown_state(self, state):
@@ -343,34 +346,9 @@ class TestStepAndBeliefStep:
 
 
 class TestTabulate:
-    STATES = (TERMINAL, "a", "b")
-
-    def test_terminate_and_terminal_are_absorbing(self):
-        pomdp = tabulate(
-            "m", self.STATES, [SCAN, TERMINATE_ACTION],
-            lambda s, a: (s, OBS_OPEN, -10.0), {"a": 0.5, "b": 0.5},
-        )
-        for s in self.STATES:
-            assert step(pomdp, s, TERMINATE_ACTION) == (TERMINAL, OBS_NONE, 0.0)
-        assert step(pomdp, TERMINAL, SCAN) == (TERMINAL, OBS_NONE, 0.0)
-        assert step(pomdp, "b", SCAN) == ("b", OBS_OPEN, -10.0)
-
     def test_two_observations_into_one_successor_rejected(self):
         def outcome(state, action):
             return "a", (OBS_OPEN if state == "a" else OBS_CLOSED), -10.0
 
         with pytest.raises(ModelError, match="not deterministic"):
-            tabulate(
-                "m", self.STATES, [SCAN, TERMINATE_ACTION],
-                outcome, {"a": 0.5, "b": 0.5},
-            )
-
-    def test_terminal_reached_with_an_observation_rejected(self):
-        def outcome(state, action):
-            return TERMINAL, OBS_OPEN, -10.0
-
-        with pytest.raises(ModelError, match="not deterministic"):
-            tabulate(
-                "m", self.STATES, [SCAN, TERMINATE_ACTION],
-                outcome, {"a": 0.5, "b": 0.5},
-            )
+            tabulate("m", ("a", "b"), [SCAN], outcome, {"a": 0.5, "b": 0.5})

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from pentestplan.bench import (
     random_scenario,
     worked_example_scenario,
 )
-from pentestplan.netmodel import EMPTY_FIREWALL
+from pentestplan.netmodel import EMPTY_FIREWALL, Firewall
 from pentestplan.planner import plan_attack
 from pentestplan.pomdp import ConfigState, build_machine_pomdp
 from pentestplan.sim import (
@@ -170,6 +171,47 @@ class TestRollout:
         spec = random_scenario(3)
         plan = plan_attack(spec)
         assert monte_carlo(spec, plan, 50, 1) == monte_carlo(spec, plan, 50, 1)
+
+
+@pytest.fixture(scope="module")
+def fenced():
+    """A scenario whose plan enters "exposed" from "internet" with ports 2002, 2003, ... blocked."""
+    return generate_benchmark(BenchmarkParams(30, 20, seed=7))
+
+
+class TestPlanAgainstFirewalls:
+    def test_plan_through_a_closed_firewall_rejected(self, fenced):
+        ports = frozenset(a.port for a in fenced.actions if a.port is not None)
+        arcs = {**fenced.net.arcs, ("internet", "exposed"): Firewall(ports)}
+        closed = replace(fenced, net=replace(fenced.net, arcs=arcs))
+        assert plan_attack(closed).value == 0.0
+        with pytest.raises(SimulationError, match="'exposed' with ports .* no arc into it"):
+            monte_carlo(closed, plan_attack(fenced), 200, 0)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda step, act: setattr(step.first, "blocked_ports", frozenset()),
+             r"machine 'm000' with ports \[\] blocked, not \[2002, 2003"),
+            (lambda step, act: step.others.append(replace(step.first)),
+             r"machine 'm000' with ports \[2002, .*\] blocked, not \[\]$"),
+            (lambda step, act: setattr(step.first.policy.branches["failed"], "action", act["scan002"]),
+             "machine 'm000' takes action 'scan002', which its firewall blocks"),
+        ],
+        ids=["first", "follow-up", "policy"],
+    )
+    def test_attack_past_its_firewall_rejected(self, fenced, mutate, message):
+        plan = plan_attack(fenced)
+        step = plan.components[0].paths[0].steps[0]
+        assert step.subnetwork == "exposed" and 2002 in step.entry_blocked_ports
+        mutate(step, {a.id: a for a in fenced.actions})
+        with pytest.raises(SimulationError, match=message):
+            monte_carlo(fenced, plan, 5, 0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_planned_attacks_pass(self, seed):
+        spec = random_scenario(seed)
+        monte_carlo(spec, plan_attack(spec), 1, 0)
 
 
 @pytest.fixture(scope="module")

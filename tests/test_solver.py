@@ -1,10 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pentestplan.bench import build_global_pomdp, random_scenario
+from pentestplan.bench import build_global_pomdp, random_scenario, worked_example_scenario
 from pentestplan.belief import DependencyModel, MarkovChain, ProgramModel
-from pentestplan.netmodel import EMPTY_FIREWALL, Machine
-from pentestplan.pomdp import ActionSpec, OBS_OPEN, build_machine_pomdp
+from pentestplan.netmodel import EMPTY_FIREWALL, Firewall, Machine
+from pentestplan.pomdp import (
+    ActionSpec,
+    ModelError,
+    OBS_OPEN,
+    TERMINATE_ACTION,
+    build_machine_pomdp,
+    step,
+)
 from pentestplan.solver import (
     PolicyNode,
     _Search,
@@ -13,8 +20,6 @@ from pentestplan.solver import (
     brute_force_value,
     evaluate_policy,
     format_policy,
-    obs_from_str,
-    obs_to_str,
     parse_policy,
     solve,
 )
@@ -116,8 +121,6 @@ class TestEvaluatePolicy:
 
     def test_terminate_policy_is_worth_zero(self):
         pomdp = gated_pomdp()
-        from pentestplan.pomdp import TERMINATE_ACTION
-
         assert evaluate_policy(pomdp, PolicyNode(TERMINATE_ACTION, {}, 0.0)) == 0.0
 
     def test_missing_branch_raises(self):
@@ -125,6 +128,38 @@ class TestEvaluatePolicy:
         headless = PolicyNode(pomdp.action("s"), {}, 0.0)
         with pytest.raises(SolverError, match="no branch"):
             evaluate_policy(pomdp, headless)
+
+
+class TestModelWithoutMoves:
+    # the worked example's machine behind a firewall that blocks both of its
+    # ports: every action is filtered, so the model has states but no moves
+    @pytest.fixture(scope="class")
+    def fenced(self):
+        spec = worked_example_scenario()
+        machine = spec.net.machine("m")
+        pomdp = build_machine_pomdp(
+            machine, Firewall(frozenset({2967, 6668})), machine.reward,
+            spec.machine_belief(machine), spec.actions, spec.model,
+        )
+        return spec, pomdp
+
+    def test_model_has_no_actions(self, fenced):
+        _, pomdp = fenced
+        assert pomdp.actions == () and pomdp.rows == []
+        assert len(pomdp.states) > 1
+
+    def test_solve_gives_zero_and_terminates(self, fenced):
+        _, pomdp = fenced
+        result = solve(pomdp)
+        assert result.value == 0.0
+        assert result.policy.action is TERMINATE_ACTION and result.policy.branches == {}
+        assert evaluate_policy(pomdp, result.policy) == 0.0
+
+    def test_step_rejects_every_action(self, fenced):
+        spec, pomdp = fenced
+        for action in spec.actions:
+            with pytest.raises(ModelError, match="not available"):
+                step(pomdp, pomdp.states[0], action)
 
 
 @pytest.fixture(scope="module")
@@ -214,12 +249,6 @@ class TestPolicyTextFormat:
         assert evaluate_policy(pomdp, parsed) == pytest.approx(
             evaluate_policy(pomdp, policy), abs=1e-12
         )
-
-    def test_observation_spellings(self):
-        assert obs_to_str("open") == "open"
-        assert obs_to_str(("os", "linux")) == "os=linux"
-        assert obs_from_str("os=linux") == ("os", "linux")
-        assert obs_from_str("failed") == "failed"
 
     def test_unknown_action_rejected(self):
         with pytest.raises(SolverError, match="unknown action"):
