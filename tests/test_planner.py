@@ -157,6 +157,12 @@ class TestBiconnectedDecomposition:
         assert cuts == {"c"}
 
 
+def component_of(tree, subnetwork):
+    """Index of the one component of ``tree`` that holds ``subnetwork``."""
+    (index,) = [i for i, comp in enumerate(tree.components) if subnetwork in comp]
+    return index
+
+
 class TestDecompose:
     def test_chain_network(self):
         net = network(["s0", "s1", "s2"], [("s0", "s1"), ("s1", "s2")])
@@ -165,8 +171,8 @@ class TestDecompose:
         assert tree.parent[0] is None
         assert frozenset({"s1"}) in tree.components
         assert frozenset({"s2"}) in tree.components
-        assert tree.parent[tree.component_of("s1")] == "s0"
-        assert tree.parent[tree.component_of("s2")] == "s1"
+        assert tree.parent[component_of(tree, "s1")] == "s0"
+        assert tree.parent[component_of(tree, "s2")] == "s1"
 
     def test_cycle_stays_one_component(self):
         net = network(
@@ -176,9 +182,9 @@ class TestDecompose:
         tree = decompose(net)
         # the cut vertex a goes to the component closest to the root; the
         # rest of the cycle stays together, entered from a
-        assert tree.component_of("b") == tree.component_of("c")
-        assert tree.parent[tree.component_of("b")] == "a"
-        assert tree.parent[tree.component_of("a")] == "s0"
+        assert component_of(tree, "b") == component_of(tree, "c")
+        assert tree.parent[component_of(tree, "b")] == "a"
+        assert tree.parent[component_of(tree, "a")] == "s0"
 
     def test_unreachable_subnetworks_pruned(self):
         net = network(
@@ -196,7 +202,7 @@ class TestDecompose:
             [("s0", "a"), ("a", "b"), ("s0", "b")],
         )
         tree = decompose(net)
-        if tree.component_of("b") != tree.component_of("a"):
+        if component_of(tree, "b") != component_of(tree, "a"):
             assert ("a", "b") in tree.arcs or ("s0", "b") in tree.arcs
 
     def test_cut_vertex_assigned_closest_to_root(self):
@@ -206,7 +212,7 @@ class TestDecompose:
         )
         tree = decompose(net)
         # b is a cut vertex; it belongs to the component entered from a
-        assert tree.component_of("b") < tree.component_of("c")
+        assert component_of(tree, "b") < component_of(tree, "c")
 
 
 class TestDecomposeAgainstOracle:

@@ -25,7 +25,7 @@ from pentestplan.report import (
 )
 from pentestplan.scenario import SAFE_LOADER
 from pentestplan.sim import monte_carlo, rollout, sample_ground_truth, scenario_beliefs
-from pentestplan.solver import PolicyNode
+from pentestplan.solver import PolicyNode, format_policy
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +197,41 @@ class TestPlanWriter:
         policies = st.sampled_from(leaves + solved)
         plan = data.draw(_plans(policies))
         assert plan_to_yaml(plan) == _oracle(plan)
+
+    def test_repeated_scalars_are_analysed_once_per_document(self, planned, monkeypatch):
+        # the same long quoted policy, ids and floats in every step, so the
+        # writer's per-document analysis memo answers most scalars
+        _, real = planned
+        policy = max(
+            (
+                attack.policy
+                for comp in real.components
+                for path in comp.paths
+                for step in path.steps
+                for attack in [step.first, *step.others]
+                if attack is not None
+            ),
+            key=lambda p: len(format_policy(p)),
+        )
+        assert "\n" in format_policy(policy)
+        attack = MachineAttack("yes", frozenset({22, 80}), 0.1, 1e17, policy)
+        step = SubnetworkPlan("- a", frozenset({443}), attack, [attack] * 5, 0.1)
+        path = PathPlan("- a", [step] * 4, 0.1)
+        comps = [ComponentPlan(("- a", "b"), "null", [path] * 3, 0.1) for _ in range(3)]
+        plan = NetworkPlan(value=0.1, components=comps, stats=PlanStats())
+        oracle = _oracle(plan)
+
+        analysed = []
+        analyse = yaml.emitter.Emitter.analyze_scalar
+        monkeypatch.setattr(
+            yaml.emitter.Emitter,
+            "analyze_scalar",
+            lambda self, scalar: analysed.append(scalar) or analyse(self, scalar),
+        )
+        assert plan_to_yaml(plan) == oracle
+        distinct = set(analysed)
+        assert len(analysed) == len(distinct)
+        assert oracle.count(".1\n") > 100  # a float written over a hundred times, analysed once
+        # the memo is the document's: a second plan analyses every text again
+        assert plan_to_yaml(plan) == oracle
+        assert len(analysed) == 2 * len(distinct)

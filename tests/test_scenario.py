@@ -1,4 +1,5 @@
 import copy
+import gc
 import re
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from pentestplan.netmodel import ScenarioError, ScenarioSyntaxError, ScenarioValidationError
 from pentestplan.bench import random_scenario, worked_example_scenario
+from pentestplan.planner import plan_attack
+from pentestplan.report import ReportError, plan_from_yaml, plan_to_yaml
 from pentestplan.scenario import (
     DEFAULT_COSTS,
     SAFE_LOADER,
@@ -381,6 +384,53 @@ class TestLoaderEquivalence:
     def test_dumped_tree_loads_the_same(self, doc):
         text = yaml.safe_dump(doc)
         assert _same(_load(text, SAFE_LOADER), _load(text, _BASE_LOADER))
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector switched on or off for one test, and restored after it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    # SAFE_LOADER pauses the cyclic collector during a load and leaves it as it found it
+
+    def test_paused_while_the_document_is_built(self, collector):
+        seen = []
+
+        class Probe(SAFE_LOADER):
+            def construct_document(self, node):
+                seen.append(gc.isenabled())
+                return super().construct_document(node)
+
+        assert yaml.load(MINIMAL, Loader=Probe) == yaml.safe_load(MINIMAL)
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_restored_after_parse_scenario(self, collector):
+        parse_scenario(MINIMAL)
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("text", ["][", "{a: [1, 2}", "a: *missing", "a: !custom x"])
+    def test_restored_after_scenario_syntax_error(self, collector, text):
+        with pytest.raises(ScenarioSyntaxError):
+            parse_scenario(text)
+        assert gc.isenabled() is collector
+
+    def test_restored_after_plan_from_yaml(self, collector):
+        spec = parse_scenario(MINIMAL)
+        text = plan_to_yaml(plan_attack(spec))
+        assert plan_to_yaml(plan_from_yaml(text, spec.actions)) == text
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("text", ["][", "components: !custom x"])
+    def test_restored_after_report_error(self, collector, text):
+        with pytest.raises(ReportError):
+            plan_from_yaml(text, parse_scenario(MINIMAL).actions)
+        assert gc.isenabled() is collector
 
 
 class TestFromDict:
