@@ -73,6 +73,15 @@ class TestPlan:
         bad.write_text("start: [")
         assert main(["plan", str(bad)]) == EXIT_INVALID
 
+    def test_unconvertible_tag_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "example.yaml"
+        assert main(["gen", "--preset", "example", "--out", str(path)]) == EXIT_OK
+        text = path.read_text()
+        assert "\nelapsed_days: " in text
+        path.write_text(text.replace("\nelapsed_days: ", "\nelapsed_days: !!int abc #"))
+        assert main(["plan", str(path)]) == EXIT_INVALID
+        assert "cannot convert a tagged scalar" in capsys.readouterr().err
+
     def test_machine_without_template_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "example.yaml"
         assert main(["gen", "--preset", "example", "--out", str(path)]) == EXIT_OK
@@ -96,6 +105,8 @@ class TestPlan:
         [
             (lambda d: d["programs"]["SA"].update(open_states=["gone"]), "unknown open state"),
             (lambda d: d["actions"][0].update(kind="phish"), "unknown kind 'phish'"),
+            (lambda d: d["actions"][0].update(id="terminate"), "'terminate' is reserved"),
+            (lambda d: d["actions"][0].update(kind="terminate"), "'terminate' is reserved"),
             (lambda d: d["actions"][0].update(kind=["exploit"]), "kind must be a string"),
             (
                 lambda d: d["templates"]["last_pentest"].update(DEP="gone"),
@@ -156,6 +167,8 @@ class TestPlan:
         ids=[
             "unknown-open-state",
             "unknown-kind",
+            "terminate-id",
+            "terminate-kind",
             "kind-not-a-string",
             "unknown-template-version",
             "unknown-success-version",

@@ -314,19 +314,19 @@ class TestPlanning:
         [
             (
                 lambda: generate_benchmark(BenchmarkParams(2000, 13)),
-                "bb40cd9656a1353e36b4a7c4ad2fdf377474523dbff433babe2d77d0c6f73cf1",
+                "faaf7413cadde110f5f232ec5857c36d847500d18836f3bc129559b5b297e16c",
             ),
             (
                 lambda: generate_benchmark(BenchmarkParams(100, 100)),
-                "9244f22c53f49c83eb9e2269c5e1da8f56472b53940a8227308005d32f8d9a1e",
+                "35e4f62fe548dc21fce33b503f375fdc401ef64bb966c1b27afb51c3190f2d1f",
             ),
             (
                 lambda: random_scenario(15),
-                "b04fed2105cbe128847850734a2c4b88b8893fab43253df2652deaae27e006ec",
+                "3e9bcb8a3ca367d282946454ef6c62b483dcb1c8978119adee974ca3e4f7291e",
             ),
             (
                 lambda: random_scenario(215),
-                "2aa4c1b473944ba3d3c9bf35bca02abce0c1545582ba72a6ae133202d43bcb10",
+                "55fb3a1de4fb7cf79ac782387bf72c378884ba18c4fcac1e899bc52f9220cf21",
             ),
         ],
         ids=["wide-2000x13", "benchmark-100x100", "random-15", "random-215"],

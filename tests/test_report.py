@@ -25,7 +25,7 @@ from pentestplan.report import (
 )
 from pentestplan.scenario import SAFE_LOADER
 from pentestplan.sim import monte_carlo, rollout, sample_ground_truth, scenario_beliefs
-from pentestplan.solver import PolicyNode, format_policy
+from pentestplan.solver import PolicyNode
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +69,16 @@ class TestSerialization:
         assert yaml.load(text, Loader=SAFE_LOADER) == yaml.safe_load(text)
 
     def test_plan_text_is_pinned(self, planned):
-        # the pure-Python dumper's line folding of long policy strings
+        # each policy a literal block, the same text with or without libyaml
         _, plan = planned
         digest = hashlib.sha256(plan_to_yaml(plan).encode()).hexdigest()
-        assert digest == "186a3c3b1e01bdba8b5677c7b5a0aa0c397628569b633cd7aaf5af79bf6bfb47"
+        assert digest == "2245409f73106067e546ebe180bb934a1e45d526c58de4e1fedfd70e9844f69d"
+
+    @pytest.mark.parametrize("tagged", ["!!float x", "!!int ''", "!!bool maybe"])
+    def test_unconvertible_tag_rejected(self, planned, tagged):
+        spec, _ = planned
+        with pytest.raises(ReportError, match="cannot convert a tagged scalar"):
+            plan_from_yaml(f"components: {tagged}", spec.actions)
 
     def test_non_plan_document_rejected(self, planned):
         spec, _ = planned
@@ -130,9 +136,21 @@ class TestFormatPlan:
         assert "network attack plan" in text
 
 
-def _oracle(plan) -> str:
-    """The plan text as PyYAML's representer and serializer write it."""
-    return yaml.safe_dump(plan_to_dict(plan), sort_keys=True, default_flow_style=False)
+def _canonical(doc) -> str:
+    """``repr`` of a plan document with sorted keys: nan, -0.0 and int/float count."""
+    if isinstance(doc, dict):
+        return "{" + ", ".join(f"{k!r}: {_canonical(doc[k])}" for k in sorted(doc)) + "}"
+    if isinstance(doc, list):
+        return "[" + ", ".join(_canonical(item) for item in doc) + "]"
+    return repr(doc)
+
+
+def _check_round_trip(plan, actions) -> None:
+    """``plan_to_yaml``'s text loads to ``plan_to_dict(plan)`` and restores an equal plan."""
+    text = plan_to_yaml(plan)
+    expected = _canonical(plan_to_dict(plan))
+    assert _canonical(yaml.load(text, Loader=SAFE_LOADER)) == expected
+    assert _canonical(plan_to_dict(plan_from_yaml(text, actions))) == expected
 
 
 _AWKWARD_IDS = st.sampled_from(
@@ -175,16 +193,16 @@ def _plans(draw, policies):
 
 
 class TestPlanWriter:
-    # plan_to_yaml emits events itself; its text must stay the oracle's, byte for byte
+    # the oracle is plan_to_dict(plan): the written text must load back to it exactly
     @pytest.mark.parametrize("seed", range(40))
     def test_random_scenario_plan_text_matches_oracle(self, seed):
-        plan = plan_attack(random_scenario(seed))
-        assert plan_to_yaml(plan) == _oracle(plan)
+        spec = random_scenario(seed)
+        _check_round_trip(plan_attack(spec), spec.actions)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(data=st.data())
     def test_awkward_plan_text_matches_oracle(self, planned, data):
-        _, real = planned
+        spec, real = planned
         solved = [
             attack.policy
             for comp in real.components
@@ -195,43 +213,20 @@ class TestPlanWriter:
         ]
         leaves = [PolicyNode(TERMINATE_ACTION, value=v) for v in (0.0, -0.0, 1e17, math.nan)]
         policies = st.sampled_from(leaves + solved)
-        plan = data.draw(_plans(policies))
-        assert plan_to_yaml(plan) == _oracle(plan)
+        _check_round_trip(data.draw(_plans(policies)), spec.actions)
 
-    def test_repeated_scalars_are_analysed_once_per_document(self, planned, monkeypatch):
-        # the same long quoted policy, ids and floats in every step, so the
-        # writer's per-document analysis memo answers most scalars
-        _, real = planned
-        policy = max(
-            (
-                attack.policy
-                for comp in real.components
-                for path in comp.paths
-                for step in path.steps
-                for attack in [step.first, *step.others]
-                if attack is not None
-            ),
-            key=lambda p: len(format_policy(p)),
-        )
-        assert "\n" in format_policy(policy)
-        attack = MachineAttack("yes", frozenset({22, 80}), 0.1, 1e17, policy)
-        step = SubnetworkPlan("- a", frozenset({443}), attack, [attack] * 5, 0.1)
-        path = PathPlan("- a", [step] * 4, 0.1)
-        comps = [ComponentPlan(("- a", "b"), "null", [path] * 3, 0.1) for _ in range(3)]
-        plan = NetworkPlan(value=0.1, components=comps, stats=PlanStats())
-        oracle = _oracle(plan)
+    def test_policies_are_literal_blocks(self, planned):
+        _, plan = planned
+        text = plan_to_yaml(plan)
+        assert "policy: |-\n" in text and "policy: \"" not in text and "policy: '" not in text
 
-        analysed = []
-        analyse = yaml.emitter.Emitter.analyze_scalar
-        monkeypatch.setattr(
-            yaml.emitter.Emitter,
-            "analyze_scalar",
-            lambda self, scalar: analysed.append(scalar) or analyse(self, scalar),
-        )
-        assert plan_to_yaml(plan) == oracle
-        distinct = set(analysed)
-        assert len(analysed) == len(distinct)
-        assert oracle.count(".1\n") > 100  # a float written over a hundred times, analysed once
-        # the memo is the document's: a second plan analyses every text again
-        assert plan_to_yaml(plan) == oracle
-        assert len(analysed) == 2 * len(distinct)
+    @pytest.mark.parametrize("seed", [3, 9, 15])
+    def test_old_format_file_loads_and_simulates_the_same(self, seed):
+        # plan files written before policies were literal blocks: quoted, folded policies
+        spec = random_scenario(seed)
+        plan = plan_attack(spec)
+        old = yaml.safe_dump(plan_to_dict(plan), sort_keys=True, default_flow_style=False)
+        assert old != plan_to_yaml(plan)
+        restored = plan_from_yaml(old, spec.actions)
+        assert _canonical(plan_to_dict(restored)) == _canonical(plan_to_dict(plan))
+        assert monte_carlo(spec, restored, 100, 2) == monte_carlo(spec, plan, 100, 2)

@@ -80,6 +80,23 @@ class TestParse:
         with pytest.raises(ScenarioSyntaxError, match=r"at line \d+, column \d+"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize(
+        "tagged", ["!!int abc", "!!float x", "!!bool maybe", "!!int ''", "!!timestamp x"]
+    )
+    def test_unconvertible_tag_is_syntax_error(self, tagged):
+        # PyYAML raises ValueError, KeyError, IndexError or AttributeError here
+        with pytest.raises(ScenarioSyntaxError, match="cannot convert a tagged scalar"):
+            parse_scenario(MINIMAL.replace("elapsed_days: 7", f"elapsed_days: {tagged}"))
+
+    @pytest.mark.parametrize("field", ["id", "kind"])
+    def test_terminate_is_reserved(self, field):
+        # an action named terminate would read back as every policy leaf;
+        # one of kind terminate would be dropped from every model
+        doc = yaml.safe_load(MINIMAL)
+        doc["actions"][0][field] = "terminate"
+        with pytest.raises(ScenarioValidationError, match="'terminate' is reserved"):
+            scenario_from_dict(doc)
+
     def test_non_mapping_rejected(self):
         with pytest.raises(ScenarioSyntaxError):
             parse_scenario("- just\n- a list\n")
