@@ -73,6 +73,16 @@ class TestPlan:
         bad.write_text("start: [")
         assert main(["plan", str(bad)]) == EXIT_INVALID
 
+    def test_deeply_nested_files_are_invalid(self, scenario_file, tmp_path, capsys):
+        deep = tmp_path / "deep.yaml"
+        deep.write_text("[" * 2000 + "]" * 2000)
+        plan_path = tmp_path / "plan.yaml"
+        assert main(["plan", str(scenario_file), "--out", str(plan_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["plan", str(deep)]) == EXIT_INVALID
+        assert main(["simulate", str(scenario_file), str(deep)]) == EXIT_INVALID
+        assert capsys.readouterr().err.count("invalid input: ") == 2
+
     def test_unconvertible_tag_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "example.yaml"
         assert main(["gen", "--preset", "example", "--out", str(path)]) == EXIT_OK

@@ -235,6 +235,35 @@ class TestDecomposeAgainstOracle:
         )
 
 
+    def test_matches_networkx(self):
+        import random
+
+        import networkx as nx
+
+        for seed in range(1200):
+            rng = random.Random(seed)
+            nodes = [f"v{i}" for i in rng.sample(range(16), rng.randint(0, 12))]
+            edges = [
+                tuple(rng.choices(nodes, k=2)) for _ in range(rng.randint(0, 2 * len(nodes)))
+            ] if nodes else []
+            g = nx.Graph()
+            g.add_nodes_from(nodes)
+            g.add_edges_from(edges)
+            comps, cuts = biconnected_decomposition(nodes, edges)
+            assert comps == [frozenset(c) for c in nx.biconnected_components(g)], seed
+            assert cuts == set(nx.articulation_points(g)), seed
+
+
+def test_import_leaves_networkx_out():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = "import sys, pentestplan; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, check=True, text=True, timeout=120,
+    ).stdout
+    assert out.strip() == "False"
+
+
 class TestPlanning:
     def test_plan_value_matches_global_on_chain(self):
         spec = random_scenario(4, singleton_tree=True)

@@ -252,14 +252,15 @@ def unpruned(crash=False):
     closure = crash_closure(model, BELIEF, actions)
     configs = sorted(closure, key=lambda s: (s.config, sorted(s.crashed)))
 
-    def outcome(state, action):
-        if state is CONTROLLED:
-            return state, (OBS_SUCCEEDED if action.kind == "exploit" else OBS_NONE), action.r_t
-        nxt, obs, success = local_outcome(model, action, state)
-        return nxt, obs, action.r_t + (100.0 if success else 0.0)
-
+    columns = []
+    for a in actions:
+        column = [(CONTROLLED, OBS_SUCCEEDED if a.kind == "exploit" else OBS_NONE, a.r_t)]
+        for state in configs:
+            nxt, obs, success = local_outcome(model, a, state)
+            column.append((nxt, obs, a.r_t + (100.0 if success else 0.0)))
+        columns.append(column)
     b0 = {ConfigState(c): m for c, m in BELIEF.items()}
-    return tabulate("m", (CONTROLLED, *configs), actions, outcome, b0)
+    return tabulate("m", (CONTROLLED, *configs), actions, columns, b0)
 
 
 class TestBuildMachinePomdp:
@@ -347,8 +348,6 @@ class TestStepAndBeliefStep:
 
 class TestTabulate:
     def test_two_observations_into_one_successor_rejected(self):
-        def outcome(state, action):
-            return "a", (OBS_OPEN if state == "a" else OBS_CLOSED), -10.0
-
+        columns = [[("a", OBS_OPEN, -10.0), ("a", OBS_CLOSED, -10.0)]]
         with pytest.raises(ModelError, match="not deterministic"):
-            tabulate("m", ("a", "b"), [SCAN], outcome, {"a": 0.5, "b": 0.5})
+            tabulate("m", ("a", "b"), [SCAN], columns, {"a": 0.5, "b": 0.5})

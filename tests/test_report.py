@@ -57,6 +57,11 @@ class TestSerialization:
         with pytest.raises(ReportError):
             plan_from_yaml("][", spec.actions)
 
+    def test_deep_nesting_rejected(self, planned):
+        spec, _ = planned
+        with pytest.raises(ReportError):
+            plan_from_yaml("[" * 2000 + "]" * 2000, spec.actions)
+
     @pytest.mark.parametrize("text", ["components:\n  - a\n b: c\n", "components: [unclosed"])
     def test_syntax_error_reports_line_and_column(self, planned, text):
         spec, _ = planned

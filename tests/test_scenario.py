@@ -6,6 +6,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from pentestplan import scenario as scenario_module
 from pentestplan.netmodel import ScenarioError, ScenarioSyntaxError, ScenarioValidationError
 from pentestplan.bench import random_scenario, worked_example_scenario
 from pentestplan.planner import plan_attack
@@ -14,6 +15,7 @@ from pentestplan.scenario import (
     DEFAULT_COSTS,
     SAFE_LOADER,
     emit_scenario,
+    load_document,
     parse_scenario,
     scenario_from_dict,
 )
@@ -87,6 +89,16 @@ class TestParse:
         # PyYAML raises ValueError, KeyError, IndexError or AttributeError here
         with pytest.raises(ScenarioSyntaxError, match="cannot convert a tagged scalar"):
             parse_scenario(MINIMAL.replace("elapsed_days: 7", f"elapsed_days: {tagged}"))
+
+    def test_deep_nesting_is_syntax_error(self):
+        # a list document with libyaml; without it, too deep to compose
+        with pytest.raises(ScenarioSyntaxError):
+            parse_scenario("[" * 2000 + "]" * 2000)
+
+    def test_recursion_in_the_parser_is_a_yaml_error(self, monkeypatch):
+        monkeypatch.setattr(scenario_module, "SAFE_LOADER", yaml.SafeLoader)  # pure Python
+        with pytest.raises(yaml.YAMLError, match="nesting too deep"):
+            load_document("[" * 2000 + "]" * 2000)
 
     @pytest.mark.parametrize("field", ["id", "kind"])
     def test_terminate_is_reserved(self, field):

@@ -58,6 +58,10 @@ def gated_pomdp(p_off=0.5, p_vuln=0.5, reward=100.0, cost=10.0):
     )
 
 
+def policy_depth(node):
+    return 1 + max(map(policy_depth, node.branches.values())) if node.branches else 0
+
+
 class TestSolveOnHandCases:
     def test_hand_computed_value(self):
         # oracle, derived by hand: success needs guard=off AND svc=vulnerable,
@@ -104,6 +108,15 @@ class TestAgainstBruteForce:
         assert solve(pomdp).value == pytest.approx(
             brute_force_value(pomdp, 6), abs=1e-9
         )
+
+    # global models small enough for the oracle, on which moves are cut part-way
+    @pytest.mark.parametrize("seed", [14, 35, 49, 148, 174, 387])
+    def test_solve_equals_brute_force_where_moves_are_cut(self, seed):
+        pomdp = build_global_pomdp(random_scenario(seed)).pomdp
+        result = solve(pomdp)
+        assert result.stats.move_cuts > 0
+        depth = policy_depth(result.policy) + 2
+        assert result.value == pytest.approx(brute_force_value(pomdp, depth), abs=1e-9)
 
     def test_brute_force_guards_large_instances(self):
         pomdp = gated_pomdp()
@@ -177,10 +190,11 @@ class TestGlobalModels:
     of memo key, belief split or action bound that loses work shows."""
 
     @pytest.mark.parametrize("seed,nodes,memo_hits,value", [
-        pytest.param(240, 785, 2074, 313.8901719135746, id="seed240"),
-        pytest.param(365, 1591, 9184, 263.7616794030538, id="seed365"),
+        pytest.param(240, 246, 657, 313.8901719135746, id="seed240"),
+        pytest.param(365, 1175, 5888, 263.7616794030538, id="seed365"),
         pytest.param(55, 3, 0, 16.66884918791709, id="seed55"),
-        pytest.param(9, 25, 56, 916.0655075702358, id="seed9"),
+        pytest.param(9, 25, 52, 916.0655075702358, id="seed9"),
+        pytest.param(27, 400, 1204, 74.99233289182703, id="seed27"),
     ])
     def test_counts_and_value(self, seed, nodes, memo_hits, value):
         pomdp = build_global_pomdp(random_scenario(seed)).pomdp
@@ -215,6 +229,11 @@ class TestGlobalModels:
     def test_tied_policies_keep_their_value(self, criterion_4_solves, seed, value):
         pomdp, result = criterion_4_solves[seed]
         assert evaluate_policy(pomdp, result.policy) == pytest.approx(value, abs=1e-9)
+
+    def test_move_cuts(self):
+        # seed 27 expands the 400 nodes pinned above; without cutting moves
+        # part-way, 5,600
+        assert solve(build_global_pomdp(random_scenario(27)).pomdp).stats.move_cuts > 0
 
     def test_bound_skips(self):
         pomdp = build_global_pomdp(random_scenario(240)).pomdp
