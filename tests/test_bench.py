@@ -169,21 +169,18 @@ def decode(gp, state):
     return tuple(local[c] for local, c in zip(gp.local_states, state))
 
 
-def local_order(decoded):
-    """Sort key of a decoded global state, as a machine POMDP orders its states."""
-    return [(0,) if s is CONTROLLED else (1, s.config, sorted(s.crashed)) for s in decoded]
-
-
 class TestGlobalBaseline:
-    # codes are positions in each machine's POMDP states, so code tuples
-    # sort as the decoded tuples do with CONTROLLED first and configurations
-    # by (config, sorted crashed programs); an order by str would follow the
-    # string hashes wherever two programs are crashed (seeds 21, 49, 111, ...)
+    # states are numbered as the walk first reaches them: the start states
+    # first, in b0's order, which is that of the configurations' str per
+    # machine; in each machine's POMDP, CONTROLLED is code 0
     @pytest.mark.parametrize("seed", [*range(40), 49, 55, 111, 240, 270, 279, 304, 365])
     def test_states_sort_like_their_decoded_strings(self, seed):
         gp = build_global_pomdp(random_scenario(seed))
-        decoded = [decode(gp, s) for s in gp.pomdp.states]
-        assert decoded == sorted(decoded, key=local_order)
+        start = list(gp.pomdp.b0)
+        assert list(gp.pomdp.states[: len(start)]) == start
+        decoded = [decode(gp, s) for s in start]
+        assert decoded == sorted(decoded, key=lambda d: [str(s.config) for s in d])
+        assert all(local[0] is CONTROLLED for local in gp.local_states)
 
     @pytest.mark.parametrize("seed", [0, 2, 7, 55])
     def test_initial_states_round_trip_through_configs(self, seed):
@@ -234,6 +231,16 @@ class TestGlobalBaseline:
         spec = generate_benchmark(BenchmarkParams(machines=4, exploits=4, seed=0))
         with pytest.raises(ResourceBoundError, match="decomposition"):
             build_global_pomdp(spec, max_states=3)
+
+    # seeds whose crash variants take the state count past the estimate
+    # (the product of support sizes plus one), so the walk itself refuses
+    @pytest.mark.parametrize("seed", [26, 30, 37])
+    def test_state_bound_is_the_state_count(self, seed):
+        spec = random_scenario(seed)
+        n = len(build_global_pomdp(spec).pomdp.states)
+        assert len(build_global_pomdp(spec, max_states=n).pomdp.states) == n
+        with pytest.raises(ResourceBoundError, match=f"global model exceeds {n - 1} states"):
+            build_global_pomdp(spec, max_states=n - 1)
 
     def test_initial_belief_normalized(self):
         spec = random_scenario(2)

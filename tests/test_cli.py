@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 import yaml
 
@@ -8,6 +10,11 @@ from pentestplan.cli import (
     EXIT_USAGE,
     main,
 )
+from pentestplan.planner import plan_attack
+from pentestplan.scenario import dump_document, parse_scenario
+from pentestplan.sim import monte_carlo
+
+OS_LABEL_WITH_COLON = Path(__file__).parent / "data" / "os_label_with_colon.yaml"
 
 
 @pytest.fixture()
@@ -219,6 +226,40 @@ class TestPlan:
         assert main(["plan", str(path)]) == EXIT_INVALID
         assert message in capsys.readouterr().err
 
+    # files that parse but whose beliefs or outcomes fail once planning starts
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda d: d["actions"][0].update(crash={"CAU": ["vulnerable"]}),
+                "exploit 'exploit_CAU': success and crash predicates can both hold",
+            ),
+            (
+                lambda d: d.update(compatibility={"SA": [["present"], ["absent"]]}),
+                "template 'last_pentest': start configuration",
+            ),
+            (
+                lambda d: (
+                    d.update(compatibility={"SA": [["vulnerable"]]}),
+                    d["programs"]["SA"]["transitions"].update(vulnerable={"present": 1.0}),
+                ),
+                "template 'last_pentest': all probability mass filtered out",
+            ),
+        ],
+        ids=["overlapping-predicates", "incompatible-template", "chain-leaves-no-mass"],
+    )
+    def test_scenario_errors_found_while_planning_are_invalid(
+        self, tmp_path, capsys, edit, message
+    ):
+        path = tmp_path / "example.yaml"
+        assert main(["gen", "--preset", "example", "--out", str(path)]) == EXIT_OK
+        doc = yaml.safe_load(path.read_text())
+        edit(doc)
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["plan", str(path)]) == EXIT_INVALID
+        assert main(["plan", str(path), "--baseline"]) == EXIT_INVALID
+        assert capsys.readouterr().err.count(message) == 2
+
     def test_resource_bound(self, scenario_file):
         code = main(["plan", str(scenario_file), "--baseline", "--max-global-states", "2"])
         assert code == EXIT_RESOURCE
@@ -235,6 +276,36 @@ class TestSimulate:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert out.startswith("mean ") and "stderr" in out
+
+    def test_deep_policy_simulates(self, tmp_path, capsys):
+        # the first attack becomes 1,500 OS detections in a row, each
+        # branching on the benchmark's one OS label, then gives up
+        depth = 1500
+        lines = ["detect_os value=0.000000"]
+        lines += [f"{'  ' * k}os=stable: detect_os value=0.000000" for k in range(1, depth)]
+        lines.append(f"{'  ' * depth}os=stable: terminate value=0.000000")
+        scenario_path, plan_path = tmp_path / "scenario.yaml", tmp_path / "plan.yaml"
+        argv = ["gen", "--machines", "4", "--exploits", "3", "--seed", "0"]
+        assert main([*argv, "--out", str(scenario_path)]) == EXIT_OK
+        assert main(["plan", str(scenario_path), "--out", str(plan_path)]) == EXIT_OK
+        doc = yaml.safe_load(plan_path.read_text())
+        doc["components"][0]["paths"][0]["steps"][0]["first"]["policy"] = "\n".join(lines)
+        plan_path.write_text(dump_document(doc))
+        capsys.readouterr()
+        code = main(["simulate", str(scenario_path), str(plan_path), "--rollouts", "3"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"mean {-50.0 * depth:.6f} ")
+
+    def test_colon_in_os_label_simulates_like_the_plan_in_memory(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.yaml"
+        assert main(["plan", str(OS_LABEL_WITH_COLON), "--out", str(plan_path)]) == EXIT_OK
+        assert "os=win: 7: xw value=" in plan_path.read_text()
+        capsys.readouterr()
+        argv = ["simulate", str(OS_LABEL_WITH_COLON), str(plan_path), "--rollouts", "200"]
+        assert main([*argv, "--seed", "3"]) == EXIT_OK
+        spec = parse_scenario(OS_LABEL_WITH_COLON.read_text())
+        mean, _ = monte_carlo(spec, plan_attack(spec), 200, 3)
+        assert capsys.readouterr().out.startswith(f"mean {mean:.6f} ")
 
     def test_trace_output(self, scenario_file, tmp_path, capsys):
         plan_path = tmp_path / "plan.yaml"

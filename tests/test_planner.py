@@ -375,14 +375,19 @@ sys.stdout.write(plan_to_yaml(plan_attack(generate_benchmark(BenchmarkParams(60,
 
 
 # random_scenario(49) has local states with two crashed programs, whose
-# frozenset iterates in string-hash order
+# frozenset iterates in string-hash order; the numbering of the local and
+# the global states must not follow it
 GLOBAL_STATES = """
 from pentestplan.bench import build_global_pomdp, random_scenario
 from pentestplan.pomdp import CONTROLLED
 from pentestplan.solver import solve
 gp = build_global_pomdp(random_scenario(49))
+def show(s):
+    return s if s is CONTROLLED else (s.config, sorted(s.crashed))
 for local in gp.local_states:
-    print([s if s is CONTROLLED else (s.config, sorted(s.crashed)) for s in local])
+    print([show(s) for s in local])
+for state in gp.pomdp.states:
+    print([show(local[c]) for local, c in zip(gp.local_states, state)])
 print(solve(gp.pomdp).value.hex())
 """
 

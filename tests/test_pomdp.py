@@ -12,9 +12,9 @@ from pentestplan.pomdp import (
     OBS_NONE,
     OBS_OPEN,
     OBS_SUCCEEDED,
+    ResourceBoundError,
     belief_step,
     build_machine_pomdp,
-    crash_closure,
     informative_actions,
     local_outcome,
     step,
@@ -167,17 +167,29 @@ class TestLocalOutcome:
         assert nxt == state and not success
 
     def test_overlapping_predicates_rejected(self):
-        model = make_model()
-        bad = ActionSpec(
-            id="x",
-            kind="exploit",
-            port=8080,
-            program="svc",
-            success={"svc": ["vulnerable"]},
-            crash={"svc": ["vulnerable"]},
+        with pytest.raises(ModelError, match="can both hold"):
+            ActionSpec(
+                id="x",
+                kind="exploit",
+                port=8080,
+                program="svc",
+                success={"svc": ["vulnerable"], "sys": ["linux"]},
+                crash={"svc": ["vulnerable", "patched"]},
+            )
+
+    @pytest.mark.parametrize(
+        "crash",
+        [
+            {},  # an empty predicate never holds
+            {"svc": ["patched"]},  # disjoint on a shared program
+            {"svc": ["vulnerable"], "sys": []},  # an empty version set never holds
+        ],
+    )
+    def test_predicates_that_cannot_both_hold_accepted(self, crash):
+        ActionSpec(
+            id="x", kind="exploit", port=8080, program="svc",
+            success={"svc": ["vulnerable"]}, crash=crash,
         )
-        with pytest.raises(ModelError, match="overlap"):
-            local_outcome(model, bad, ConfigState(("vulnerable", "linux")))
 
 
 class TestInformativeActions:
@@ -249,18 +261,21 @@ def unpruned(crash=False):
     """``build()``'s model over the whole catalog, tabulated without pruning."""
     model = make_model()
     actions = [exploit(crash=crash), SCAN, DETECT]
-    closure = crash_closure(model, BELIEF, actions)
-    configs = sorted(closure, key=lambda s: (s.config, sorted(s.crashed)))
 
-    columns = []
-    for a in actions:
-        column = [(CONTROLLED, OBS_SUCCEEDED if a.kind == "exploit" else OBS_NONE, a.r_t)]
-        for state in configs:
+    def outcomes(state):
+        if state is CONTROLLED:
+            return [
+                (CONTROLLED, OBS_SUCCEEDED if a.kind == "exploit" else OBS_NONE, a.r_t)
+                for a in actions
+            ]
+        out = []
+        for a in actions:
             nxt, obs, success = local_outcome(model, a, state)
-            column.append((nxt, obs, a.r_t + (100.0 if success else 0.0)))
-        columns.append(column)
+            out.append((nxt, obs, a.r_t + (100.0 if success else 0.0)))
+        return out
+
     b0 = {ConfigState(c): m for c, m in BELIEF.items()}
-    return tabulate("m", (CONTROLLED, *configs), actions, columns, b0)
+    return tabulate("m", (CONTROLLED, *b0), actions, outcomes, b0)
 
 
 class TestBuildMachinePomdp:
@@ -348,6 +363,28 @@ class TestStepAndBeliefStep:
 
 class TestTabulate:
     def test_two_observations_into_one_successor_rejected(self):
-        columns = [[("a", OBS_OPEN, -10.0), ("a", OBS_CLOSED, -10.0)]]
+        outcomes = {"a": [("a", OBS_OPEN, -10.0)], "b": [("a", OBS_CLOSED, -10.0)]}
         with pytest.raises(ModelError, match="not deterministic"):
-            tabulate("m", ("a", "b"), [SCAN], columns, {"a": 0.5, "b": 0.5})
+            tabulate("m", ("a", "b"), [SCAN], outcomes.__getitem__, {"a": 0.5, "b": 0.5})
+
+    # a -> b -> c under one action; d is a start state reached by nothing
+    CHAIN = {"a": [("b", OBS_NONE, 0.0)], "b": [("c", OBS_NONE, 0.0)],
+             "c": [("c", OBS_NONE, 0.0)], "d": [("a", OBS_NONE, 0.0)]}
+
+    def test_states_numbered_as_first_reached(self):
+        calls = []
+
+        def outcomes(state):
+            calls.append(state)
+            return self.CHAIN[state]
+
+        pomdp = tabulate("m", ("d", "c"), [SCAN], outcomes, {"d": 1.0})
+        assert pomdp.states == ("d", "c", "a", "b")
+        assert calls == ["d", "c", "a", "b"]  # once per state
+        assert pomdp.rows == [[(2, 0, 0.0), (1, 0, 0.0), (3, 0, 0.0), (1, 0, 0.0)]]
+
+    def test_state_bound(self):
+        pomdp = tabulate("m", ("a",), [SCAN], self.CHAIN.__getitem__, {"a": 1.0}, max_states=3)
+        assert len(pomdp.states) == 3
+        with pytest.raises(ResourceBoundError, match="m model exceeds 2 states"):
+            tabulate("m", ("a",), [SCAN], self.CHAIN.__getitem__, {"a": 1.0}, max_states=2)

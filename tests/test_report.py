@@ -1,11 +1,12 @@
 import hashlib
 import math
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from pentestplan.bench import random_scenario
+from pentestplan.bench import BenchmarkParams, generate_benchmark, random_scenario
 from pentestplan.planner import (
     ComponentPlan,
     MachineAttack,
@@ -23,7 +24,7 @@ from pentestplan.report import (
     plan_to_dict,
     plan_to_yaml,
 )
-from pentestplan.scenario import SAFE_LOADER
+from pentestplan.scenario import SAFE_LOADER, dump_document, parse_scenario
 from pentestplan.sim import monte_carlo, rollout, sample_ground_truth, scenario_beliefs
 from pentestplan.solver import PolicyNode
 
@@ -235,3 +236,37 @@ class TestPlanWriter:
         restored = plan_from_yaml(old, spec.actions)
         assert _canonical(plan_to_dict(restored)) == _canonical(plan_to_dict(plan))
         assert monte_carlo(spec, restored, 100, 2) == monte_carlo(spec, plan, 100, 2)
+
+
+OS_LABEL_WITH_COLON = Path(__file__).parent / "data" / "os_label_with_colon.yaml"
+
+
+def deep_policy(depth: int) -> str:
+    """``depth`` OS detections in a row, each branching on the one OS label of the benchmark."""
+    lines = ["detect_os value=0.000000"]
+    lines += [f"{'  ' * k}os=stable: detect_os value=0.000000" for k in range(1, depth)]
+    lines.append(f"{'  ' * depth}os=stable: terminate value=0.000000")
+    return "\n".join(lines)
+
+
+class TestPlanFilesOfAnyShape:
+    def test_deep_policy_loads(self):
+        spec = generate_benchmark(BenchmarkParams(machines=4, exploits=3, seed=0))
+        doc = plan_to_dict(plan_attack(spec))
+        doc["components"][0]["paths"][0]["steps"][0]["first"]["policy"] = deep_policy(1500)
+        plan = plan_from_yaml(dump_document(doc), spec.actions)
+        node, depth = plan.components[0].paths[0].steps[0].first.policy, 0
+        while not node.is_leaf:
+            node, depth = node.branches["os=stable"], depth + 1
+        assert depth == 1500
+        mean, _ = monte_carlo(spec, plan, 3, 0)
+        assert mean == -50.0 * 1500  # each rollout detects 1,500 times, then gives up
+
+    def test_colon_in_os_label_round_trips(self):
+        spec = parse_scenario(OS_LABEL_WITH_COLON.read_text())
+        plan = plan_attack(spec)
+        text = plan_to_yaml(plan)
+        assert "os=win: 7: xw value=" in text
+        restored = plan_from_yaml(text, spec.actions)
+        assert plan_to_yaml(restored) == text
+        assert monte_carlo(spec, restored, 200, 1) == monte_carlo(spec, plan, 200, 1)

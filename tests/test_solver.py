@@ -281,6 +281,40 @@ class TestPolicyTextFormat:
         with pytest.raises(SolverError):
             parse_policy("   \n", [])
 
+    DETECT = ActionSpec(id="d", kind="os_detect")
+    XW = ActionSpec(id="xw", kind="exploit", port=80, program="svc")
+
+    def test_deep_policy_round_trips(self):
+        lines = ["d value=0.000000"]
+        lines += [f"{'  ' * k}os=linux: d value=0.000000" for k in range(1, 3000)]
+        text = "\n".join(lines)
+        policy = parse_policy(text, [self.DETECT])
+        assert format_policy(policy) == text
+
+    def test_observation_with_colon(self):
+        text = "d value=1.000000\n  os=win: 7: xw value=2.000000\n    succeeded: terminate value=0.000000"
+        policy = parse_policy(text, [self.DETECT, self.XW])
+        assert list(policy.branches) == ["os=win: 7"]
+        assert policy.branches["os=win: 7"].action is self.XW
+        assert format_policy(policy) == text
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("  d value=1.000000", "bad indentation at line 1"),
+            ("d value=1.000000\n    open: d value=1.000000", "bad indentation at line 2"),
+            ("d value=1.000000\n  open: d value=1.000000\nd value=1.000000", "trailing content at line 3"),
+            ("d value=1.000000\n  open: ghost value=1.000000", "unknown action id 'ghost'"),
+            ("d value=1.000000\n  os=a: b: c value=1.000000", "unknown action id 'b: c'"),
+            ("d value=1.000000\n  d value=1.000000", "malformed policy line"),
+            ("d value=1.000000\n  os=win: 7: xw value=1.000000", "ambiguous policy line"),
+        ],
+    )
+    def test_malformed_text_rejected(self, text, message):
+        catalog = [self.DETECT, self.XW, ActionSpec(id="7: xw", kind="os_detect")]
+        with pytest.raises(SolverError, match=message):
+            parse_policy(text, catalog)
+
 
 @settings(max_examples=40, deadline=None)
 @given(
