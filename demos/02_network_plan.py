@@ -36,7 +36,7 @@ stats = plan.stats
 print(f"\nsolves: {stats.solves}, cache hits: {stats.cache_hits}, "
       f"skipped zero-reward machines: {stats.shortcut_zero_reward}")
 
-# Plans serialize to YAML for later simulation (see demo 03).
-with open("/tmp/demo_plan.yaml", "w") as fh:
+# Plans serialize to JSON for later simulation (see demo 03).
+with open("/tmp/demo_plan.json", "w") as fh:
     fh.write(plan_to_yaml(plan))
-print("\nplan written to /tmp/demo_plan.yaml")
+print("\nplan written to /tmp/demo_plan.json")

@@ -19,7 +19,7 @@ from pentestplan.bench import (
 )
 from pentestplan.planner import plan_attack
 from pentestplan.pomdp import CONTROLLED
-from pentestplan.scenario import emit_scenario, parse_scenario, scenario_from_dict
+from pentestplan.scenario import emit_scenario, load_document, parse_scenario, scenario_from_dict
 from pentestplan.solver import format_policy, solve
 
 
@@ -27,11 +27,38 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# sha256 of the emitted JSON text, by the sha256 of the same document written
+# as YAML by yaml.safe_dump (the text scenario files held when they were YAML)
+JSON_DIGESTS = {
+    "0589cf3223a7b7c3d6e30737842df2b1197be6a308ddf0da905fa912e0552742": (
+        "9d1daf251294383d447aa6b0034e195b3d677a05583ca6c0dc8f24f6e7513875"
+    ),
+    "d9557c8b1251d3cf78abb4e84a8758a41c9040fe041d6a9c065857587f033858": (
+        "34e6ad454522cf95f5ff316f56a2c17c942b6b090d8df2bf2e647c13ca603d1b"
+    ),
+    "87863f7800dc47a478058728fbfe8b0f50fc1989995fdc1f6070dee02be8090d": (
+        "31a176ed7e40baeb61e39fe987e98bace8f47bc04f99f7302f3690a4634b4958"
+    ),
+    "7a8f091eda5552235fdbcc7313e1bcea957b469d048739f85203a7763c7a171f": (
+        "7950291cf55da50af925356b3af65af4afc34a7de4e36194f815f07260cef17b"
+    ),
+    "a1fedbfcdbfbc15f95526d1bb89ff95b0c419f7fd937b5f541572a5cf34d521a": (
+        "93b61f4f6001d9087ad76be08851b93f0143c8d7196162ea5032a57215023620"
+    ),
+    "424b4d056a9f66fa3045c80a3c81ffffc42e3c30d41982aa69c28db65c827bc4": (
+        "9056cf57733fe71181461bc55f8ac7070de88cb49862b94109a23a8ad4390227"
+    ),
+    "1315998bf6e46fce4e3791afb3245f692e72a4e578cb60a0a9ba6ad0e1e1a11d": (
+        "c26658257050f6061431c09615516cf7fbc876ae4bfb23f06a9a0a3fca493c37"
+    ),
+}
+
+
 class TestBenchmarkGeneration:
-    # generators build the spec from a dict; the emitted text equals the one
-    # they produced when they went through a YAML dump and parse
+    # generators build the spec from a dict; the emitted document is the one
+    # they wrote when scenario files were YAML, and its JSON text is pinned
     @pytest.mark.parametrize(
-        "make, digest",
+        "make, yaml_digest",
         [
             (
                 worked_example_scenario,
@@ -63,9 +90,11 @@ class TestBenchmarkGeneration:
             ),
         ],
     )
-    def test_emitted_text_is_pinned(self, make, digest):
+    def test_emitted_text_is_pinned(self, make, yaml_digest):
         text = emit_scenario(make())
-        assert sha256(text) == digest
+        assert sha256(text) == JSON_DIGESTS[yaml_digest]
+        as_yaml = yaml.safe_dump(load_document(text), sort_keys=True, default_flow_style=False)
+        assert sha256(as_yaml) == yaml_digest
         assert emit_scenario(parse_scenario(text)) == text
 
     def test_deterministic_given_seed(self):
@@ -214,7 +243,7 @@ class TestGlobalBaseline:
     def test_machine_without_moves(self):
         # a second machine on which no action can succeed or tell anything:
         # its model has no moves, and it adds nothing to the global value
-        doc = yaml.safe_load(emit_scenario(worked_example_scenario()))
+        doc = load_document(emit_scenario(worked_example_scenario()))
         doc["machines"].append(
             {"id": "n", "subnetwork": "office", "template": "hardened", "reward": 50.0}
         )

@@ -11,10 +11,11 @@ from pentestplan.cli import (
     main,
 )
 from pentestplan.planner import plan_attack
-from pentestplan.scenario import dump_document, parse_scenario
+from pentestplan.scenario import dump_document, load_document, parse_scenario
 from pentestplan.sim import monte_carlo
 
-OS_LABEL_WITH_COLON = Path(__file__).parent / "data" / "os_label_with_colon.yaml"
+DATA = Path(__file__).parent / "data"
+OS_LABEL_WITH_COLON = DATA / "os_label_with_colon.yaml"
 
 
 @pytest.fixture()
@@ -90,10 +91,40 @@ class TestPlan:
         assert main(["simulate", str(scenario_file), str(deep)]) == EXIT_INVALID
         assert capsys.readouterr().err.count("invalid input: ") == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"costs": {"exploit": NaN}}', "NaN is not a finite number"),
+            ('{"costs": {"exploit": Infinity}}', "Infinity is not a finite number"),
+            ('{"costs": {"exploit": -Infinity}}', "-Infinity is not a finite number"),
+            ('{"elapsed_days": ' + "1" * 5000 + "}", "JSON number"),
+            ("[" * 50000 + "]" * 50000, "nesting too deep"),
+        ],
+        ids=["nan", "infinity", "minus-infinity", "long-int", "deep"],
+    )
+    def test_json_errors_are_invalid(self, scenario_file, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        plan_path = tmp_path / "plan.json"
+        assert main(["plan", str(scenario_file), "--out", str(plan_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["plan", str(bad)]) == EXIT_INVALID
+        assert main(["simulate", str(scenario_file), str(bad)]) == EXIT_INVALID
+        assert capsys.readouterr().err.count(message) == 2
+
+    def test_yaml_and_json_scenarios_plan_alike(self, scenario_file, tmp_path, capsys):
+        as_yaml = tmp_path / "scenario.yaml"
+        as_yaml.write_text(yaml.safe_dump(load_document(scenario_file.read_text())))
+        plans = [tmp_path / "from_json.json", tmp_path / "from_yaml.json"]
+        assert main(["plan", str(scenario_file), "--out", str(plans[0])]) == EXIT_OK
+        assert main(["plan", str(as_yaml), "--out", str(plans[1])]) == EXIT_OK
+        assert plans[0].read_text() == plans[1].read_text()
+        assert plans[0].read_text().startswith("{\n")
+
     def test_unconvertible_tag_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "example.yaml"
         assert main(["gen", "--preset", "example", "--out", str(path)]) == EXIT_OK
-        text = path.read_text()
+        text = yaml.safe_dump(load_document(path.read_text()))
         assert "\nelapsed_days: " in text
         path.write_text(text.replace("\nelapsed_days: ", "\nelapsed_days: !!int abc #"))
         assert main(["plan", str(path)]) == EXIT_INVALID
@@ -102,7 +133,7 @@ class TestPlan:
     def test_machine_without_template_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "example.yaml"
         assert main(["gen", "--preset", "example", "--out", str(path)]) == EXIT_OK
-        doc = yaml.safe_load(path.read_text())
+        doc = load_document(path.read_text())
         doc["machines"].append({"id": "gw", "subnetwork": "office", "reward": 0.0})
         path.write_text(yaml.safe_dump(doc))
         assert main(["plan", str(path)]) == EXIT_INVALID
@@ -111,7 +142,7 @@ class TestPlan:
     def test_nan_reward_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "example.yaml"
         assert main(["gen", "--preset", "example", "--out", str(path)]) == EXIT_OK
-        doc = yaml.safe_load(path.read_text())
+        doc = load_document(path.read_text())
         doc["machines"][-1]["reward"] = float("nan")
         path.write_text(yaml.safe_dump(doc))
         assert main(["plan", str(path)]) == EXIT_INVALID
@@ -220,7 +251,7 @@ class TestPlan:
     def test_bad_program_or_action_is_invalid(self, tmp_path, capsys, edit, message):
         path = tmp_path / "example.yaml"
         assert main(["gen", "--preset", "example", "--out", str(path)]) == EXIT_OK
-        doc = yaml.safe_load(path.read_text())
+        doc = load_document(path.read_text())
         edit(doc)
         path.write_text(yaml.safe_dump(doc))
         assert main(["plan", str(path)]) == EXIT_INVALID
@@ -253,7 +284,7 @@ class TestPlan:
     ):
         path = tmp_path / "example.yaml"
         assert main(["gen", "--preset", "example", "--out", str(path)]) == EXIT_OK
-        doc = yaml.safe_load(path.read_text())
+        doc = load_document(path.read_text())
         edit(doc)
         path.write_text(yaml.safe_dump(doc))
         assert main(["plan", str(path)]) == EXIT_INVALID
@@ -288,7 +319,7 @@ class TestSimulate:
         argv = ["gen", "--machines", "4", "--exploits", "3", "--seed", "0"]
         assert main([*argv, "--out", str(scenario_path)]) == EXIT_OK
         assert main(["plan", str(scenario_path), "--out", str(plan_path)]) == EXIT_OK
-        doc = yaml.safe_load(plan_path.read_text())
+        doc = load_document(plan_path.read_text())
         doc["components"][0]["paths"][0]["steps"][0]["first"]["policy"] = "\n".join(lines)
         plan_path.write_text(dump_document(doc))
         capsys.readouterr()
@@ -330,7 +361,7 @@ class TestSimulate:
         net, plan = tmp_path / "net.yaml", tmp_path / "plan.yaml"
         main(["gen", "--machines", "30", "--exploits", "20", "--seed", "7", "--out", str(net)])
         assert main(["plan", str(net), "--out", str(plan)]) == EXIT_OK
-        doc = yaml.safe_load(net.read_text())
+        doc = load_document(net.read_text())
         ports = sorted({a["port"] for a in doc["actions"] if "port" in a})
         (arc,) = [a for a in doc["arcs"] if (a["from"], a["to"]) == ("internet", "exposed")]
         arc["blocked_ports"] = ports
@@ -345,7 +376,7 @@ class TestSimulate:
         plan_path = tmp_path / "plan.yaml"
         assert main(["gen", "--preset", "example", "--out", str(scenario_path)]) == EXIT_OK
         assert main(["plan", str(scenario_path), "--out", str(plan_path)]) == EXIT_OK
-        doc = yaml.safe_load(plan_path.read_text())
+        doc = load_document(plan_path.read_text())
         doc["components"][0]["paths"][0]["steps"][0]["first"]["policy"] = (
             "scan_port_2967 value=0.000000"
         )
@@ -354,10 +385,38 @@ class TestSimulate:
         assert main(["simulate", str(scenario_path), str(plan_path)]) == EXIT_INVALID
         assert "no branch" in capsys.readouterr().err
 
+    def test_policy_indented_by_an_odd_count_is_invalid(self, scenario_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        assert main(["plan", str(scenario_file), "--out", str(plan_path)]) == EXIT_OK
+        doc = load_document(plan_path.read_text())
+        first = doc["components"][-1]["paths"][0]["steps"][0]["first"]
+        lines = first["policy"].split("\n")
+        assert lines[1].startswith("  ") and not lines[1].startswith("   ")
+        first["policy"] = "\n".join([lines[0], " " + lines[1], *lines[2:]])
+        plan_path.write_text(dump_document(doc))
+        capsys.readouterr()
+        assert main(["simulate", str(scenario_file), str(plan_path)]) == EXIT_INVALID
+        assert "bad indentation at line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario, out",
+        [
+            ("random_6.yaml", "mean 377.250000 stderr 19.301878 rollouts 200"),
+            ("os_label_with_colon.yaml", "mean 59.000000 stderr 0.000000 rollouts 200"),
+        ],
+    )
+    def test_yaml_plan_file_simulates_as_before(self, capsys, scenario, out):
+        # YAML scenario and plan files (policies as literal blocks), and the
+        # output simulate printed for them when the plan files were written
+        plan = DATA / scenario.replace(".yaml", "_plan.yaml")
+        argv = ["simulate", str(DATA / scenario), str(plan), "--rollouts", "200", "--seed", "1"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == out + "\n"
+
     def test_malformed_policy_line_is_invalid(self, scenario_file, tmp_path, capsys):
         plan_path = tmp_path / "plan.yaml"
         assert main(["plan", str(scenario_file), "--out", str(plan_path)]) == EXIT_OK
-        doc = yaml.safe_load(plan_path.read_text())
+        doc = load_document(plan_path.read_text())
         doc["components"][-1]["paths"][0]["steps"][0]["first"]["policy"] = "x1 valu=61.77"
         plan_path.write_text(yaml.safe_dump(doc))
         capsys.readouterr()

@@ -343,19 +343,19 @@ class TestPlanning:
         [
             (
                 lambda: generate_benchmark(BenchmarkParams(2000, 13)),
-                "faaf7413cadde110f5f232ec5857c36d847500d18836f3bc129559b5b297e16c",
+                "14fd8451943a026ee91cc82081b3dcc7a982d611ec203900aaa5dddc4b56eb3e",
             ),
             (
                 lambda: generate_benchmark(BenchmarkParams(100, 100)),
-                "35e4f62fe548dc21fce33b503f375fdc401ef64bb966c1b27afb51c3190f2d1f",
+                "396d67e03fe40ad77d0bc35aecb65addcb5b46d3114e6fbfb2a9b68ff60088eb",
             ),
             (
                 lambda: random_scenario(15),
-                "3e9bcb8a3ca367d282946454ef6c62b483dcb1c8978119adee974ca3e4f7291e",
+                "e001041b965ae1f4bf354766e80a00b6ceb414bad465269639362681b19bd2f0",
             ),
             (
                 lambda: random_scenario(215),
-                "55fb3a1de4fb7cf79ac782387bf72c378884ba18c4fcac1e899bc52f9220cf21",
+                "1485a3b3f569eb9d45de4d63b373c78cba9bf4dd00c273fdebd241ecbcad9a9f",
             ),
         ],
         ids=["wide-2000x13", "benchmark-100x100", "random-15", "random-215"],

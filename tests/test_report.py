@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from pentestplan.report import (
     plan_to_dict,
     plan_to_yaml,
 )
-from pentestplan.scenario import SAFE_LOADER, dump_document, parse_scenario
+from pentestplan.scenario import SAFE_LOADER, dump_document, load_document, parse_scenario
 from pentestplan.sim import monte_carlo, rollout, sample_ground_truth, scenario_beliefs
 from pentestplan.solver import PolicyNode
 
@@ -70,15 +72,16 @@ class TestSerialization:
             plan_from_yaml(text, spec.actions)
 
     def test_shared_loader_matches_safe_load(self, planned):
+        # the plan document, written as YAML, loads the same through SAFE_LOADER
         _, plan = planned
-        text = plan_to_yaml(plan)
-        assert yaml.load(text, Loader=SAFE_LOADER) == yaml.safe_load(text)
+        doc = load_document(plan_to_yaml(plan))
+        text = yaml.safe_dump(doc)
+        assert yaml.load(text, Loader=SAFE_LOADER) == yaml.safe_load(text) == doc
 
     def test_plan_text_is_pinned(self, planned):
-        # each policy a literal block, the same text with or without libyaml
         _, plan = planned
         digest = hashlib.sha256(plan_to_yaml(plan).encode()).hexdigest()
-        assert digest == "2245409f73106067e546ebe180bb934a1e45d526c58de4e1fedfd70e9844f69d"
+        assert digest == "3e029465b04ba86f829bd3ed87f90cd6eb3b54f604e03d862e9e4c9a762b38b0"
 
     @pytest.mark.parametrize("tagged", ["!!float x", "!!int ''", "!!bool maybe"])
     def test_unconvertible_tag_rejected(self, planned, tagged):
@@ -120,7 +123,7 @@ class TestMalformedPlan:
     )
     def test_rejected_with_report_error(self, planned, edit):
         spec, plan = planned
-        doc = yaml.safe_load(plan_to_yaml(plan))
+        doc = load_document(plan_to_yaml(plan))
         edit(doc)
         with pytest.raises(ReportError):
             plan_from_yaml(yaml.safe_dump(doc), spec.actions)
@@ -155,14 +158,17 @@ def _check_round_trip(plan, actions) -> None:
     """``plan_to_yaml``'s text loads to ``plan_to_dict(plan)`` and restores an equal plan."""
     text = plan_to_yaml(plan)
     expected = _canonical(plan_to_dict(plan))
-    assert _canonical(yaml.load(text, Loader=SAFE_LOADER)) == expected
+    assert _canonical(load_document(text)) == expected
     assert _canonical(plan_to_dict(plan_from_yaml(text, actions))) == expected
 
 
 _AWKWARD_IDS = st.sampled_from(
     ["yes", "null", "0x1f", "1e3", "- a", "a: b", "#x", " lead", "trail ", "naïve ü", "", "x " * 50]
 ) | st.text(max_size=8)
-_AWKWARD_NUMBERS = st.sampled_from([1e17, -0.0, math.inf, -math.inf, math.nan]) | st.floats()
+# JSON holds no nan or inf; TestPlanWriter.test_non_finite_number_not_written covers them
+_AWKWARD_NUMBERS = st.sampled_from([1e17, -0.0, 1e-05, 5e-324, 1.7976931348623157e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
 
 
 @st.composite
@@ -221,14 +227,21 @@ class TestPlanWriter:
         policies = st.sampled_from(leaves + solved)
         _check_round_trip(data.draw(_plans(policies)), spec.actions)
 
-    def test_policies_are_literal_blocks(self, planned):
+    def test_plan_text_is_indented_json(self, planned):
         _, plan = planned
         text = plan_to_yaml(plan)
-        assert "policy: |-\n" in text and "policy: \"" not in text and "policy: '" not in text
+        assert text == json.dumps(plan_to_dict(plan), sort_keys=True, indent=1) + "\n"
+        assert '\n "components": [\n' in text and '"policy": "' in text
+
+    @pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_not_written(self, planned, number):
+        _, plan = planned
+        with pytest.raises(ReportError, match="plan not written"):
+            plan_to_yaml(dataclasses.replace(plan, value=number))
 
     @pytest.mark.parametrize("seed", [3, 9, 15])
     def test_old_format_file_loads_and_simulates_the_same(self, seed):
-        # plan files written before policies were literal blocks: quoted, folded policies
+        # plan files written as YAML with quoted, folded policies
         spec = random_scenario(seed)
         plan = plan_attack(spec)
         old = yaml.safe_dump(plan_to_dict(plan), sort_keys=True, default_flow_style=False)
@@ -238,7 +251,8 @@ class TestPlanWriter:
         assert monte_carlo(spec, restored, 100, 2) == monte_carlo(spec, plan, 100, 2)
 
 
-OS_LABEL_WITH_COLON = Path(__file__).parent / "data" / "os_label_with_colon.yaml"
+DATA = Path(__file__).parent / "data"
+OS_LABEL_WITH_COLON = DATA / "os_label_with_colon.yaml"
 
 
 def deep_policy(depth: int) -> str:
@@ -261,6 +275,16 @@ class TestPlanFilesOfAnyShape:
         assert depth == 1500
         mean, _ = monte_carlo(spec, plan, 3, 0)
         assert mean == -50.0 * 1500  # each rollout detects 1,500 times, then gives up
+
+    @pytest.mark.parametrize("name", ["random_6", "os_label_with_colon"])
+    def test_yaml_plan_file_loads_as_planned(self, name):
+        # YAML plan files with literal-block policies, from before plans were JSON
+        spec = parse_scenario((DATA / f"{name}.yaml").read_text())
+        plan = plan_attack(spec)
+        restored = plan_from_yaml((DATA / f"{name}_plan.yaml").read_text(), spec.actions)
+        assert _canonical(plan_to_dict(restored)) == _canonical(plan_to_dict(plan))
+        assert plan_to_yaml(restored) == plan_to_yaml(plan)
+        assert monte_carlo(spec, restored, 200, 1) == monte_carlo(spec, plan, 200, 1)
 
     def test_colon_in_os_label_round_trips(self):
         spec = parse_scenario(OS_LABEL_WITH_COLON.read_text())

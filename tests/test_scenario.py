@@ -1,6 +1,8 @@
 import copy
 import gc
+import json
 import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -98,7 +100,36 @@ class TestParse:
     def test_recursion_in_the_parser_is_a_yaml_error(self, monkeypatch):
         monkeypatch.setattr(scenario_module, "SAFE_LOADER", yaml.SafeLoader)  # pure Python
         with pytest.raises(yaml.YAMLError, match="nesting too deep"):
-            load_document("[" * 2000 + "]" * 2000)
+            load_document("a: " + "[" * 2000 + "]" * 2000)  # YAML: it does not start with [
+
+    @pytest.mark.parametrize("depth", [2000, 50000])
+    def test_deep_json_is_syntax_error(self, depth):
+        # json.loads recurses once per level; libyaml never sees this text
+        with pytest.raises(ScenarioSyntaxError, match="nesting too deep"):
+            parse_scenario("[" * depth + "]" * depth)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_json_non_finite_constant_is_syntax_error(self, constant):
+        with pytest.raises(ScenarioSyntaxError, match=f"{constant} is not a finite number"):
+            parse_scenario(f'{{"elapsed_days": 7, "costs": {{"exploit": {constant}}}}}')
+
+    def test_json_int_over_the_digit_limit_is_syntax_error(self):
+        with pytest.raises(ScenarioSyntaxError, match="JSON number"):
+            parse_scenario('{"elapsed_days": ' + "7" * 5000 + "}")
+
+    @pytest.mark.parametrize(
+        "text, doc",
+        [
+            ("{a: 1}", {"a": 1}),
+            (" \n [a, 1e-05]", ["a", "1e-05"]),  # YAML 1.1 reads 1e-05 as a string
+            ("{'a': [1, 2]}", {"a": [1, 2]}),
+            ('{"a": 1e-05, "b": [true, null, "x"]}', {"a": 1e-05, "b": [True, None, "x"]}),
+            ('\t[1.5, -0.0, 10000000000000000000000]', [1.5, -0.0, 10**22]),
+            ("a: [1, 2]", {"a": [1, 2]}),
+        ],
+    )
+    def test_json_when_it_starts_so_and_parses_else_yaml(self, text, doc):
+        assert _same(load_document(text), doc)
 
     @pytest.mark.parametrize("field", ["id", "kind"])
     def test_terminate_is_reserved(self, field):
@@ -267,7 +298,7 @@ def _node_paths(node, path=()):
         yield from _node_paths(child, path + (key,))
 
 
-_DOCS = (yaml.safe_load(emit_scenario(worked_example_scenario())), yaml.safe_load(MINIMAL))
+_DOCS = (load_document(emit_scenario(worked_example_scenario())), yaml.safe_load(MINIMAL))
 _NODES = [(doc, path) for doc in _DOCS for path in _node_paths(doc)]
 _KEYS = st.none() | st.booleans() | st.integers() | st.text(max_size=4)
 _VALUES = st.recursive(
@@ -297,8 +328,10 @@ class TestMutatedDocuments:
 class TestLoader:
     @pytest.mark.parametrize("seed", [0, 3, 55, 240])
     def test_shared_loader_matches_safe_load(self, seed):
-        text = emit_scenario(random_scenario(seed))
-        assert yaml.load(text, Loader=SAFE_LOADER) == yaml.safe_load(text)
+        # an emitted document, written as YAML, loads as it was emitted
+        doc = load_document(emit_scenario(random_scenario(seed)))
+        text = yaml.safe_dump(doc)
+        assert yaml.load(text, Loader=SAFE_LOADER) == yaml.safe_load(text) == doc
 
     def test_hand_written_document_loads_the_same(self):
         assert yaml.load(MINIMAL, Loader=SAFE_LOADER) == yaml.safe_load(MINIMAL)
@@ -344,11 +377,23 @@ _TREES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_SCALARS, inner, max_size=4),
     max_leaves=12,
 )
+# what JSON holds: string keys, finite floats
+_JSON_TREES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
 
 
 class TestLoaderEquivalence:
-    # SAFE_LOADER builds plain documents itself and hands every other one to
-    # the loader it extends; either way the result is that loader's
+    # SAFE_LOADER is the loader it extends plus a collector pause, and
+    # load_document hands it every text that is not JSON, flow YAML that
+    # starts with { or [ included: each loads as the base loader loads it
     @pytest.mark.parametrize(
         "text",
         [
@@ -385,19 +430,18 @@ class TestLoaderEquivalence:
     def test_document_loads_as_the_base_loader_loads_it(self, text):
         ours, base = _load(text, SAFE_LOADER), _load(text, _BASE_LOADER)
         assert _same(ours, base), (ours, base)
+        if not isinstance(base, Exception):  # load_document turns errors into YAMLError
+            assert _same(load_document(text), base)
 
     def test_alias_sharing_is_kept(self):
-        doc = yaml.load("a: &x [1, 2]\nb: *x\nc: [1, 2]\n", Loader=SAFE_LOADER)
+        doc = load_document("a: &x [1, 2]\nb: *x\nc: [1, 2]\n")
         assert doc["a"] is doc["b"] and doc["a"] is not doc["c"]
-        loop = yaml.load("&a [*a]", Loader=SAFE_LOADER)
+        loop = load_document("&a [*a]")
         assert loop[0] is loop
 
     def test_nesting_deeper_than_the_walk_recurses(self):
-        text = "[" * 600 + "]" * 600
-        doc, base = _load(text, SAFE_LOADER), _load(text, _BASE_LOADER)
-        if isinstance(base, RecursionError):  # without libyaml, the composer recurses too
-            assert type(doc) is RecursionError
-            return
+        # JSON 600 levels deep loads through json.loads
+        doc = load_document("[" * 600 + "]" * 600)
         for _ in range(599):
             assert type(doc) is list and len(doc) == 1
             doc = doc[0]
@@ -405,14 +449,51 @@ class TestLoaderEquivalence:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_emitted_scenario_loads_the_same(self, seed):
-        text = emit_scenario(random_scenario(seed))
-        assert _same(_load(text, SAFE_LOADER), _load(text, _BASE_LOADER))
+        _check_json_and_yaml_agree(random_scenario(seed))
+
+    def test_yaml_scenario_file_parses_as_generated(self):
+        # a scenario file from when scenario files were YAML
+        text = (Path(__file__).parent / "data" / "random_6.yaml").read_text()
+        assert not text.startswith("{")
+        assert emit_scenario(parse_scenario(text)) == emit_scenario(random_scenario(6))
+
+    def test_emitted_worked_example_loads_the_same(self):
+        _check_json_and_yaml_agree(worked_example_scenario())
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(doc=_TREES)
     def test_dumped_tree_loads_the_same(self, doc):
         text = yaml.safe_dump(doc)
         assert _same(_load(text, SAFE_LOADER), _load(text, _BASE_LOADER))
+        assert _same(load_document(text), _load(text, _BASE_LOADER))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(doc=st.lists(_JSON_TREES, max_size=4) | st.dictionaries(st.text(max_size=6), _JSON_TREES))
+    def test_written_tree_loads_back(self, doc):
+        # files hold a mapping or a list; a bare scalar would be read as YAML
+        text = scenario_module.dump_document(doc)
+        assert text.endswith("\n") and _same(load_document(text), _sorted_keys(doc))
+
+
+def _sorted_keys(doc):
+    if isinstance(doc, dict):
+        return {key: _sorted_keys(doc[key]) for key in sorted(doc)}
+    if isinstance(doc, list):
+        return [_sorted_keys(item) for item in doc]
+    return doc
+
+
+def _check_json_and_yaml_agree(spec) -> None:
+    """The emitted JSON text and the same document written as YAML parse to one spec."""
+    text = emit_scenario(spec)
+    doc = load_document(text)
+    assert _same(doc, json.loads(text))
+    as_yaml = yaml.safe_dump(doc)
+    assert _same(_load(as_yaml, _BASE_LOADER), doc)
+    from_json, from_yaml = parse_scenario(text), parse_scenario(as_yaml)
+    assert from_json.actions == from_yaml.actions
+    assert from_json.templates == from_yaml.templates
+    assert emit_scenario(from_yaml) == emit_scenario(from_json) == text
 
 
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])

@@ -291,6 +291,36 @@ class TestPolicyTextFormat:
         policy = parse_policy(text, [self.DETECT])
         assert format_policy(policy) == text
 
+    def test_deep_policy_compares_and_prints(self):
+        # == and repr walk the tree without recursing once per level
+        lines = ["d value=0.000000"]
+        lines += [f"{'  ' * k}os=linux: d value=0.000000" for k in range(1, 1500)]
+        lines.append(f"{'  ' * 1500}os=linux: terminate value=0.000000")
+        policy, again = (parse_policy("\n".join(lines), [self.DETECT]) for _ in range(2))
+        assert policy == again and policy is not again
+        node = again
+        while not node.branches["os=linux"].is_leaf:
+            node = node.branches["os=linux"]
+        node.branches["os=linux"] = PolicyNode(TERMINATE_ACTION, {}, 1.0)
+        assert policy != again
+        text = repr(policy)
+        assert text.count("PolicyNode(action=") == 1501
+        assert text.startswith("PolicyNode(action=ActionSpec(id='d', kind='os_detect'")
+        assert text.endswith("branches={}, value=0.0)" + "}, value=0.0)" * 1500)
+
+    def test_repr_and_eq_are_the_dataclass_ones(self):
+        leaf = PolicyNode(TERMINATE_ACTION, {}, 0.5)
+        node = PolicyNode(self.DETECT, {"os=a": leaf, "os=b": PolicyNode(self.XW)}, 1.0)
+        assert repr(node) == (
+            f"PolicyNode(action={self.DETECT!r}, branches={{'os=a': PolicyNode(action="
+            f"{TERMINATE_ACTION!r}, branches={{}}, value=0.5), 'os=b': PolicyNode(action="
+            f"{self.XW!r}, branches={{}}, value=0.0)}}, value=1.0)"
+        )
+        assert node == PolicyNode(self.DETECT, {"os=b": PolicyNode(self.XW), "os=a": leaf}, 1.0)
+        assert node != PolicyNode(self.DETECT, {"os=a": leaf}, 1.0)
+        assert node != PolicyNode(self.XW, dict(node.branches), 1.0)
+        assert node != "not a policy" and (node == 1.0) is False
+
     def test_observation_with_colon(self):
         text = "d value=1.000000\n  os=win: 7: xw value=2.000000\n    succeeded: terminate value=0.000000"
         policy = parse_policy(text, [self.DETECT, self.XW])
@@ -303,6 +333,7 @@ class TestPolicyTextFormat:
         [
             ("  d value=1.000000", "bad indentation at line 1"),
             ("d value=1.000000\n    open: d value=1.000000", "bad indentation at line 2"),
+            ("d value=1.0\n   x: d value=2.0", "bad indentation at line 2"),
             ("d value=1.000000\n  open: d value=1.000000\nd value=1.000000", "trailing content at line 3"),
             ("d value=1.000000\n  open: ghost value=1.000000", "unknown action id 'ghost'"),
             ("d value=1.000000\n  os=a: b: c value=1.000000", "unknown action id 'b: c'"),
