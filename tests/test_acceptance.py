@@ -4,6 +4,7 @@ Each test prints one PASS line (visible in verbose runs as the test
 verdict) and enforces the corresponding quantitative bound.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -26,7 +27,6 @@ from pentestplan.pomdp import (
     ConfigState,
     OBS_FAILED,
     OBS_OPEN,
-    belief_step,
     build_machine_pomdp,
 )
 from pentestplan.solver import brute_force_value, evaluate_policy, solve
@@ -115,34 +115,30 @@ def worked_example():
     return spec, pomdp
 
 
+def _branches(pomdp, belief: dict, action_id: str) -> dict:
+    """``{observation: (posterior over states, probability, expected reward)}``
+    of one action over a belief, from ``MachinePOMDP.split``."""
+    groups = pomdp.split(pomdp.indexed(belief), pomdp.action_pos[action_id])
+    return {
+        pomdp.obs_values[code]: ({pomdp.states[i]: m for i, m in post.items()}, prob, r)
+        for code, (post, prob, r, _) in groups.items()
+    }
+
+
 def test_criterion_2_example_policy_after_open_port(worked_example):
     _, pomdp = worked_example
-    open_branch = [
-        entry
-        for entry in belief_step(pomdp, pomdp.b0, pomdp.action("scan_port_2967"))
-        if entry[0] == OBS_OPEN
-    ]
-    assert open_branch
-    _, after_open, _, _ = open_branch[0]
+    after_open, _, _ = _branches(pomdp, pomdp.b0, "scan_port_2967")[OBS_OPEN]
     # one-step expected value of the correlated exploit, the published
     # back-of-the-envelope number 100 * 0.2 - 10 = 10
     cau_value = sum(
-        prob * reward
-        for _, _, prob, reward in belief_step(
-            pomdp, after_open, pomdp.action("exploit_CAU")
-        )
+        prob * reward for _, prob, reward in _branches(pomdp, after_open, "exploit_CAU").values()
     )
     assert cau_value == pytest.approx(10.0, abs=3.0)
-    assert solve(pomdp, from_belief=after_open).value > 0
+    assert solve(dataclasses.replace(pomdp, b0=after_open)).value > 0
 
     # after an additional failed service-A exploit the attack is hopeless
-    failed = [
-        entry
-        for entry in belief_step(pomdp, after_open, pomdp.action("exploit_SA"))
-        if entry[0] == OBS_FAILED
-    ]
-    after_failure = failed[0][1]
-    giving_up = solve(pomdp, from_belief=after_failure)
+    after_failure, _, _ = _branches(pomdp, after_open, "exploit_SA")[OBS_FAILED]
+    giving_up = solve(dataclasses.replace(pomdp, b0=after_failure))
     assert giving_up.policy.action.kind == "terminate"
     assert giving_up.value == 0.0
     print(

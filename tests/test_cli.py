@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,6 +114,23 @@ class TestPlan:
         assert main(["plan", str(bad)]) == EXIT_INVALID
         assert main(["simulate", str(scenario_file), str(bad)]) == EXIT_INVALID
         assert capsys.readouterr().err.count(message) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a: " + "[" * 50000 + "]" * 50000, "{a: " + "[" * 50000 + "]" * 50000 + "}"],
+        ids=["after-a-key", "flow-yaml-not-json"],
+    )
+    def test_deep_yaml_is_invalid(self, tmp_path, text):
+        # in a subprocess, so that a crash in the parser fails this test, not the test run
+        deep = tmp_path / "deep.yaml"
+        deep.write_text(text)
+        run = subprocess.run(
+            [sys.executable, "-m", "pentestplan.cli", "plan", str(deep)],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == EXIT_INVALID, run.stderr
+        assert "nesting too deep" in run.stderr
 
     def test_yaml_and_json_scenarios_plan_alike(self, scenario_file, tmp_path, capsys):
         as_yaml = tmp_path / "scenario.yaml"
@@ -307,6 +327,20 @@ class TestSimulate:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert out.startswith("mean ") and "stderr" in out
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400"])
+    def test_plan_number_that_is_not_finite_is_invalid(
+        self, scenario_file, tmp_path, capsys, literal
+    ):
+        # JSON reads 1e400 as inf
+        plan_path = tmp_path / "plan.json"
+        assert main(["plan", str(scenario_file), "--out", str(plan_path)]) == EXIT_OK
+        doc = load_document(plan_path.read_text())
+        doc["value"] = 0.123456789
+        plan_path.write_text(dump_document(doc).replace("0.123456789", literal))
+        capsys.readouterr()
+        assert main(["simulate", str(scenario_file), str(plan_path)]) == EXIT_INVALID
+        assert "value must be a finite number" in capsys.readouterr().err
 
     def test_deep_policy_simulates(self, tmp_path, capsys):
         # the first attack becomes 1,500 OS detections in a row, each

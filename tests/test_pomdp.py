@@ -13,7 +13,6 @@ from pentestplan.pomdp import (
     OBS_OPEN,
     OBS_SUCCEEDED,
     ResourceBoundError,
-    belief_step,
     build_machine_pomdp,
     informative_actions,
     local_outcome,
@@ -347,17 +346,18 @@ class TestStepAndBeliefStep:
 
     def test_belief_step_partitions_probability(self):
         pomdp = build()
-        entries = belief_step(pomdp, pomdp.b0, pomdp.action("s"))
-        assert sum(prob for _, _, prob, _ in entries) == pytest.approx(1.0)
-        by_obs = {obs: post for obs, post, _, _ in entries}
+        groups = pomdp.split(pomdp.indexed(pomdp.b0), pomdp.action_pos["s"])
+        assert sum(prob for _, prob, _, _ in groups.values()) == pytest.approx(1.0)
+        by_obs = {pomdp.obs_values[code]: post for code, (post, *_) in groups.items()}
         assert set(by_obs) == {OBS_OPEN, OBS_CLOSED}
-        open_post = by_obs[OBS_OPEN]
-        assert open_post[ConfigState(("vulnerable", "linux"))] == pytest.approx(1.0)
+        vulnerable = pomdp.index[ConfigState(("vulnerable", "linux"))]
+        assert by_obs[OBS_OPEN] == {vulnerable: pytest.approx(1.0)}
 
     def test_belief_step_expected_reward_is_cost(self):
         pomdp = build()
-        entries = belief_step(pomdp, pomdp.b0, pomdp.action("s"))
-        for _, _, _, reward in entries:
+        groups = pomdp.split(pomdp.indexed(pomdp.b0), pomdp.action_pos["s"])
+        assert len(groups) == 2
+        for _, _, reward, _ in groups.values():
             assert reward == pytest.approx(-10.0)
 
 

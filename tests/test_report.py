@@ -26,7 +26,7 @@ from pentestplan.report import (
     plan_to_dict,
     plan_to_yaml,
 )
-from pentestplan.scenario import SAFE_LOADER, dump_document, load_document, parse_scenario
+from pentestplan.scenario import dump_document, load_document, parse_scenario
 from pentestplan.sim import monte_carlo, rollout, sample_ground_truth, scenario_beliefs
 from pentestplan.solver import PolicyNode
 
@@ -72,11 +72,11 @@ class TestSerialization:
             plan_from_yaml(text, spec.actions)
 
     def test_shared_loader_matches_safe_load(self, planned):
-        # the plan document, written as YAML, loads the same through SAFE_LOADER
+        # the plan document, written as YAML, loads the same through load_document
         _, plan = planned
         doc = load_document(plan_to_yaml(plan))
         text = yaml.safe_dump(doc)
-        assert yaml.load(text, Loader=SAFE_LOADER) == yaml.safe_load(text) == doc
+        assert load_document(text) == yaml.safe_load(text) == doc
 
     def test_plan_text_is_pinned(self, planned):
         _, plan = planned
@@ -127,6 +127,31 @@ class TestMalformedPlan:
         edit(doc)
         with pytest.raises(ReportError):
             plan_from_yaml(yaml.safe_dump(doc), spec.actions)
+
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400"])
+    @pytest.mark.parametrize(
+        "where", ["plan", "component", "path", "step", "attack-value", "composite-reward"]
+    )
+    def test_number_that_is_not_finite_rejected(self, planned, where, literal):
+        # JSON reads 1e400 as inf without calling parse_constant
+        spec, plan = planned
+        doc = load_document(plan_to_yaml(plan))
+        comp = doc["components"][1]
+        path = comp["paths"][0]
+        holder, key = {
+            "plan": (doc, "value"),
+            "component": (comp, "value"),
+            "path": (path, "value"),
+            "step": (_step(doc), "value"),
+            "attack-value": (_step(doc)["first"], "value"),
+            "composite-reward": (_step(doc)["first"], "composite_reward"),
+        }[where]
+        holder[key] = 0.123456789
+        text = dump_document(doc)
+        assert text.count("0.123456789") == 1
+        with pytest.raises(ReportError, match=f"{key} must be a finite number"):
+            plan_from_yaml(text.replace("0.123456789", literal), spec.actions)
 
 
 class TestFormatPlan:

@@ -1,7 +1,9 @@
 import copy
-import gc
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,11 +13,9 @@ from hypothesis import given, settings, strategies as st
 from pentestplan import scenario as scenario_module
 from pentestplan.netmodel import ScenarioError, ScenarioSyntaxError, ScenarioValidationError
 from pentestplan.bench import random_scenario, worked_example_scenario
-from pentestplan.planner import plan_attack
-from pentestplan.report import ReportError, plan_from_yaml, plan_to_yaml
 from pentestplan.scenario import (
     DEFAULT_COSTS,
-    SAFE_LOADER,
+    DocumentError,
     emit_scenario,
     load_document,
     parse_scenario,
@@ -93,18 +93,17 @@ class TestParse:
             parse_scenario(MINIMAL.replace("elapsed_days: 7", f"elapsed_days: {tagged}"))
 
     def test_deep_nesting_is_syntax_error(self):
-        # a list document with libyaml; without it, too deep to compose
+        # JSON too deep for json.loads
         with pytest.raises(ScenarioSyntaxError):
             parse_scenario("[" * 2000 + "]" * 2000)
 
-    def test_recursion_in_the_parser_is_a_yaml_error(self, monkeypatch):
-        monkeypatch.setattr(scenario_module, "SAFE_LOADER", yaml.SafeLoader)  # pure Python
-        with pytest.raises(yaml.YAMLError, match="nesting too deep"):
+    def test_recursion_in_the_parser_is_a_yaml_error(self):
+        with pytest.raises(DocumentError, match="nesting too deep"):
             load_document("a: " + "[" * 2000 + "]" * 2000)  # YAML: it does not start with [
 
     @pytest.mark.parametrize("depth", [2000, 50000])
     def test_deep_json_is_syntax_error(self, depth):
-        # json.loads recurses once per level; libyaml never sees this text
+        # json.loads recurses once per level; the YAML loader never sees this text
         with pytest.raises(ScenarioSyntaxError, match="nesting too deep"):
             parse_scenario("[" * depth + "]" * depth)
 
@@ -331,18 +330,31 @@ class TestLoader:
         # an emitted document, written as YAML, loads as it was emitted
         doc = load_document(emit_scenario(random_scenario(seed)))
         text = yaml.safe_dump(doc)
-        assert yaml.load(text, Loader=SAFE_LOADER) == yaml.safe_load(text) == doc
+        assert load_document(text) == yaml.safe_load(text) == doc
 
     def test_hand_written_document_loads_the_same(self):
-        assert yaml.load(MINIMAL, Loader=SAFE_LOADER) == yaml.safe_load(MINIMAL)
+        assert load_document(MINIMAL) == yaml.safe_load(MINIMAL)
+
+    def test_import_leaves_yaml_out(self):
+        # a fresh interpreter: PyYAML is imported only to read YAML text
+        src = str(Path(__file__).parents[1] / "src")
+        script = (
+            "import sys, pentestplan\n"
+            "print('yaml' in sys.modules)\n"
+            f"pentestplan.parse_scenario({MINIMAL!r})\n"
+            "print('yaml' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, check=True, text=True, timeout=120,
+        ).stdout
+        assert out.split() == ["False", "True"]
 
 
-_BASE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-def _load(text, loader):
+def _safe_load(text):
+    """``yaml.safe_load(text)``, or the exception it raises."""
     try:
-        return yaml.load(text, Loader=loader)
+        return yaml.safe_load(text)
     except Exception as exc:
         return exc
 
@@ -391,9 +403,9 @@ _JSON_TREES = st.recursive(
 
 
 class TestLoaderEquivalence:
-    # SAFE_LOADER is the loader it extends plus a collector pause, and
-    # load_document hands it every text that is not JSON, flow YAML that
-    # starts with { or [ included: each loads as the base loader loads it
+    # load_document hands PyYAML's safe loader every text that is not JSON,
+    # flow YAML that starts with { or [ included: each loads as
+    # yaml.safe_load loads it, and each of safe_load's errors is a DocumentError
     @pytest.mark.parametrize(
         "text",
         [
@@ -428,9 +440,11 @@ class TestLoaderEquivalence:
         ],
     )
     def test_document_loads_as_the_base_loader_loads_it(self, text):
-        ours, base = _load(text, SAFE_LOADER), _load(text, _BASE_LOADER)
-        assert _same(ours, base), (ours, base)
-        if not isinstance(base, Exception):  # load_document turns errors into YAMLError
+        base = _safe_load(text)
+        if isinstance(base, Exception):
+            with pytest.raises(DocumentError):
+                load_document(text)
+        else:
             assert _same(load_document(text), base)
 
     def test_alias_sharing_is_kept(self):
@@ -464,8 +478,7 @@ class TestLoaderEquivalence:
     @given(doc=_TREES)
     def test_dumped_tree_loads_the_same(self, doc):
         text = yaml.safe_dump(doc)
-        assert _same(_load(text, SAFE_LOADER), _load(text, _BASE_LOADER))
-        assert _same(load_document(text), _load(text, _BASE_LOADER))
+        assert _same(load_document(text), yaml.safe_load(text))
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(doc=st.lists(_JSON_TREES, max_size=4) | st.dictionaries(st.text(max_size=6), _JSON_TREES))
@@ -489,58 +502,11 @@ def _check_json_and_yaml_agree(spec) -> None:
     doc = load_document(text)
     assert _same(doc, json.loads(text))
     as_yaml = yaml.safe_dump(doc)
-    assert _same(_load(as_yaml, _BASE_LOADER), doc)
+    assert _same(yaml.safe_load(as_yaml), doc)
     from_json, from_yaml = parse_scenario(text), parse_scenario(as_yaml)
     assert from_json.actions == from_yaml.actions
     assert from_json.templates == from_yaml.templates
     assert emit_scenario(from_yaml) == emit_scenario(from_json) == text
-
-
-@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
-def collector(request):
-    """The cyclic collector switched on or off for one test, and restored after it."""
-    was_enabled = gc.isenabled()
-    (gc.enable if request.param else gc.disable)()
-    yield request.param
-    (gc.enable if was_enabled else gc.disable)()
-
-
-class TestCollectorPause:
-    # SAFE_LOADER pauses the cyclic collector during a load and leaves it as it found it
-
-    def test_paused_while_the_document_is_built(self, collector):
-        seen = []
-
-        class Probe(SAFE_LOADER):
-            def construct_document(self, node):
-                seen.append(gc.isenabled())
-                return super().construct_document(node)
-
-        assert yaml.load(MINIMAL, Loader=Probe) == yaml.safe_load(MINIMAL)
-        assert seen == [False]
-        assert gc.isenabled() is collector
-
-    def test_restored_after_parse_scenario(self, collector):
-        parse_scenario(MINIMAL)
-        assert gc.isenabled() is collector
-
-    @pytest.mark.parametrize("text", ["][", "{a: [1, 2}", "a: *missing", "a: !custom x"])
-    def test_restored_after_scenario_syntax_error(self, collector, text):
-        with pytest.raises(ScenarioSyntaxError):
-            parse_scenario(text)
-        assert gc.isenabled() is collector
-
-    def test_restored_after_plan_from_yaml(self, collector):
-        spec = parse_scenario(MINIMAL)
-        text = plan_to_yaml(plan_attack(spec))
-        assert plan_to_yaml(plan_from_yaml(text, spec.actions)) == text
-        assert gc.isenabled() is collector
-
-    @pytest.mark.parametrize("text", ["][", "components: !custom x"])
-    def test_restored_after_report_error(self, collector, text):
-        with pytest.raises(ReportError):
-            plan_from_yaml(text, parse_scenario(MINIMAL).actions)
-        assert gc.isenabled() is collector
 
 
 class TestFromDict:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,9 +91,8 @@ class TestSolveOnHandCases:
     def test_from_belief_override(self):
         from pentestplan.pomdp import ConfigState
 
-        pomdp = gated_pomdp()
-        belief = {ConfigState(("off", "vulnerable")): 1.0}
-        result = solve(pomdp, from_belief=belief)
+        pomdp = dataclasses.replace(gated_pomdp(), b0={ConfigState(("off", "vulnerable")): 1.0})
+        result = solve(pomdp)
         assert result.value == pytest.approx(90.0, abs=1e-9)
 
 
