@@ -537,3 +537,25 @@ class TestUsage:
         argv = [arg.format(scenario=scenario_file, plan=plan_path) for arg in argv]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error: argument --")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen"],
+            ["gen", "--preset", "random"],
+            ["plan", "{scenario}"],
+            ["simulate", "{scenario}", "{plan}", "--rollouts", "2"],
+            ["simulate", "{scenario}", "{plan}", "--trace"],
+            ["experiment", "--machines", "1", "--exploits", "1", "--repetitions", "2"],
+            ["calibrate"],
+        ],
+        ids=["gen", "gen-random", "plan", "simulate", "simulate-trace", "experiment", "calibrate"],
+    )
+    def test_negative_seed(self, scenario_file, tmp_path, capsys, argv):
+        # a seed below 0 is the parser's usage error, not a traceback from numpy
+        plan_path = tmp_path / "plan.yaml"
+        assert main(["plan", str(scenario_file), "--out", str(plan_path)]) == EXIT_OK
+        capsys.readouterr()
+        argv = [arg.format(scenario=scenario_file, plan=plan_path) for arg in argv]
+        assert main([*argv, "--seed", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: argument --seed: must be at least 0")

@@ -92,11 +92,6 @@ class TestParse:
         with pytest.raises(ScenarioSyntaxError, match="cannot convert a tagged scalar"):
             parse_scenario(MINIMAL.replace("elapsed_days: 7", f"elapsed_days: {tagged}"))
 
-    def test_deep_nesting_is_syntax_error(self):
-        # JSON too deep for json.loads
-        with pytest.raises(ScenarioSyntaxError):
-            parse_scenario("[" * 2000 + "]" * 2000)
-
     def test_recursion_in_the_parser_is_a_yaml_error(self):
         with pytest.raises(DocumentError, match="nesting too deep"):
             load_document("a: " + "[" * 2000 + "]" * 2000)  # YAML: it does not start with [

@@ -97,9 +97,11 @@ class TestCompiledSampler:
             assert truth == choice_draw(beliefs, seed)
             assert list(truth.configs) == sorted(beliefs)
 
-    @pytest.mark.parametrize("name", ["random 17", "benchmark 50x13"])
+    @pytest.mark.parametrize("name", ["random 17", "benchmark 50x13", "benchmark 2000x13"])
     def test_monte_carlo_equals_per_seed_choice_loop(self, name):
-        spec = SAMPLER_SCENARIOS[name]()
+        # on 2000x13 a rollout reads the configurations of few of the machines
+        wide = {"benchmark 2000x13": lambda: generate_benchmark(BenchmarkParams(2000, 13))}
+        spec = {**SAMPLER_SCENARIOS, **wide}[name]()
         plan = plan_attack(spec)
         beliefs = scenario_beliefs(spec)
         seeds = np.random.SeedSequence(4).generate_state(40)
@@ -108,6 +110,15 @@ class TestCompiledSampler:
         )
         expected = (float(totals.mean()), float(totals.std(ddof=1) / math.sqrt(40)))
         assert monte_carlo(spec, plan, 40, 4) == expected
+
+    def test_rollout_looks_up_only_the_machines_it_attacks(self, wide):
+        spec, plan, beliefs = wide
+        for seed in range(30):
+            truth = sample_ground_truth(beliefs, seed)
+            trace = rollout(spec, plan, truth)
+            looked_up = truth.configs._looked_up  # the configurations this draw has looked up
+            assert 0 < len(looked_up) <= len(trace.steps)
+            assert set(looked_up) == {machine_id for machine_id, *_ in trace.steps}
 
 
 class TestRollout:
@@ -126,11 +137,23 @@ class TestRollout:
         trace = rollout(spec, plan, truth)
         assert trace.total == pytest.approx(sum(r for *_, r in trace.steps))
 
-    def test_missing_machine_rejected(self):
+    def test_missing_machine_rejected(self, wide):
         spec = random_scenario(3)
         plan = plan_attack(spec)
         with pytest.raises(SimulationError, match="missing"):
             rollout(spec, plan, GroundTruth(configs={}, seed=0))
+        # a machine the plan never attacks is missing all the same
+        spec, plan, beliefs = wide
+        attacked = {
+            attack.machine_id
+            for comp in plan.components for path in comp.paths for step in path.steps
+            for attack in filter(None, [step.first, *step.others])
+        }
+        unattacked = next(m.id for m in spec.net.machines() if m.template and m.id not in attacked)
+        configs = dict(sample_ground_truth(beliefs, 0).configs)
+        del configs[unattacked]
+        with pytest.raises(SimulationError, match=f"missing machines: \\['{unattacked}'\\]"):
+            rollout(spec, plan, GroundTruth(configs=configs, seed=0))
 
     @pytest.mark.parametrize(
         "mutate, message",
