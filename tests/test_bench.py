@@ -271,6 +271,20 @@ class TestGlobalBaseline:
         with pytest.raises(ResourceBoundError, match=f"global model exceeds {n - 1} states"):
             build_global_pomdp(spec, max_states=n - 1)
 
+    @pytest.mark.parametrize("seed", [2, 15, 38, 49])
+    def test_same_model_before_and_after_planning(self, seed):
+        # planning fills the spec's compiled models, which the global build reuses
+        spec = random_scenario(seed)
+        before = build_global_pomdp(spec)
+        plan_attack(spec)
+        after = build_global_pomdp(spec)
+        planned_first = random_scenario(seed)
+        plan_attack(planned_first)
+        for gp in (after, build_global_pomdp(planned_first)):
+            assert gp.pomdp == before.pomdp
+            assert gp.machine_order == before.machine_order
+            assert gp.local_states == before.local_states
+
     def test_initial_belief_normalized(self):
         spec = random_scenario(2)
         gp = build_global_pomdp(spec)
@@ -367,6 +381,32 @@ class TestExperiments:
     def test_unknown_mode_rejected(self):
         with pytest.raises(BenchmarkError):
             run_experiment("best-effort", [1], [1])
+
+    def test_sides_get_specs_of_their_own(self, monkeypatch):
+        # the global side's time must count every compile it needs, so it
+        # may not reuse the spec the planner has filled
+        import pentestplan.bench as bench_module
+
+        seen = []
+
+        def recording(fn):
+            def record(spec, *args, **kwargs):
+                seen.append((fn.__name__, spec))
+                return fn(spec, *args, **kwargs)
+
+            return record
+
+        for name in ("plan_attack", "build_global_pomdp", "monte_carlo", "sampled_mean"):
+            monkeypatch.setattr(bench_module, name, recording(getattr(bench_module, name)))
+        (cell,) = run_experiment("both", [3], [2], repetitions=20, seed=1)
+        (planned, simulated, built, sampled) = seen
+        assert [name for name, _ in seen] == [
+            "plan_attack", "monte_carlo", "build_global_pomdp", "sampled_mean"
+        ]
+        assert planned[1] is simulated[1] and built[1] is sampled[1]
+        assert planned[1] is not built[1]
+        assert emit_scenario(planned[1]) == emit_scenario(built[1])
+        assert not math.isnan(cell.gap_percent)
 
     def test_gap_zero_when_global_worthless(self):
         cells = run_experiment("both", [1], [1], repetitions=50, seed=0)

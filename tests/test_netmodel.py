@@ -73,6 +73,15 @@ class TestNetworkValidation:
         with pytest.raises(KeyError):
             net.subnetwork_of("nowhere")
 
+    def test_machine_ids_are_the_ids_of_machines(self):
+        net = simple_network()
+        ids = net.machine_ids
+        assert ids == {m.id for m in net.machines()} == {"attacker", "web", "mail", "db"}
+        assert len(ids) == len(list(net.machines()))
+        with pytest.raises(AttributeError):  # a read-only view
+            ids.add("intruder")
+        assert {"db", "web"} <= ids and "intruder" not in ids
+
     def test_duplicate_machine_id(self):
         with pytest.raises(ScenarioValidationError, match="duplicate"):
             LogicalNetwork(

@@ -20,6 +20,7 @@ from pentestplan.planner import (
     decompose,
     plan_attack,
 )
+from pentestplan.pomdp import build_machine_pomdp
 from pentestplan.report import plan_to_yaml
 from pentestplan.solver import solve
 
@@ -335,6 +336,46 @@ class TestPlanning:
         # shortcut before the cache is consulted and never counted as hits
         stats = plan_attack(generate_benchmark(BenchmarkParams(2000, 13))).stats
         assert (stats.solves, stats.cache_hits, stats.shortcut_zero_reward) == (62, 76, 134)
+
+    def test_each_model_is_compiled_once_per_spec(self, monkeypatch):
+        # plan_attack then build_global_pomdp on one spec: one compile per
+        # (template, blocked ports), and the global model reuses the
+        # planner's compiles through the empty firewall
+        import pentestplan.planner as planner_module
+
+        compiled = []
+
+        def recording_build(machine, firewall, *args):
+            compiled.append((machine.template, firewall.blocked_ports))
+            return build_machine_pomdp(machine, firewall, *args)
+
+        monkeypatch.setattr(planner_module, "build_machine_pomdp", recording_build)
+        reused = 0
+        for seed in range(60):
+            spec = random_scenario(seed)
+            compiled.clear()
+            plan_attack(spec)
+            planned = len(compiled)
+            gp = build_global_pomdp(spec)
+            assert len(compiled) == len(set(compiled))
+            global_keys = {
+                (spec.net.machine(mid).template, frozenset()) for mid in gp.machine_order
+            }
+            assert global_keys <= set(compiled)
+            reused += len(global_keys) - (len(compiled) - planned)
+        assert reused > 0
+
+    def test_planners_on_one_spec_agree(self):
+        # the second planner finds the first one's compiles on the spec
+        makers = (
+            lambda: random_scenario(15),
+            lambda: random_scenario(38),
+            lambda: generate_benchmark(BenchmarkParams(100, 100)),
+        )
+        for make_spec in makers:
+            spec = make_spec()
+            texts = [plan_to_yaml(DecompositionPlanner(spec).plan()) for _ in range(2)]
+            assert texts[0] == texts[1] == plan_to_yaml(plan_attack(make_spec()))
 
     # random_scenario 15 and 215 are the seeds in 0..399 with both a component
     # of three or more subnetworks and a follow-up sibling attack

@@ -1,6 +1,7 @@
 import pytest
 
 from pentestplan.belief import DependencyModel, MarkovChain, ProgramModel
+from pentestplan.bench import worked_example_scenario
 from pentestplan.netmodel import EMPTY_FIREWALL, Firewall, Machine
 from pentestplan.pomdp import (
     CONTROLLED,
@@ -18,6 +19,7 @@ from pentestplan.pomdp import (
     local_outcome,
     step,
     tabulate,
+    with_reward,
 )
 from pentestplan.solver import solve
 
@@ -324,6 +326,54 @@ class TestBuildMachinePomdp:
         pruned = build(crash=True)
         assert len(pruned.actions) < len(full.actions)
         assert solve(pruned).value == pytest.approx(solve(full).value, abs=1e-9)
+
+
+def worked_example_inputs(firewall=EMPTY_FIREWALL):
+    """``build_machine_pomdp``'s arguments but the reward, for the worked example's machine."""
+    spec = worked_example_scenario()
+    machine = spec.net.machine("m")
+    return machine, firewall, spec.machine_belief(machine), spec.actions, spec.model
+
+
+def crash_model_inputs():
+    return Machine("m", "t0"), EMPTY_FIREWALL, BELIEF, [exploit(True), SCAN, DETECT], make_model()
+
+
+def compile_at(inputs, reward, machine=None):
+    m, firewall, belief, actions, model = inputs
+    return build_machine_pomdp(machine or m, firewall, reward, belief, actions, model)
+
+
+WITH_REWARD_CASES = {
+    "worked-example": worked_example_inputs,
+    "crash-variants": crash_model_inputs,
+    "blocked-port": lambda: worked_example_inputs(Firewall(frozenset({2967}))),
+}
+
+
+class TestWithReward:
+    @pytest.mark.parametrize("reward", [0.5, 100.0, 1e6])
+    @pytest.mark.parametrize("case", WITH_REWARD_CASES)
+    def test_equals_a_direct_compile(self, case, reward):
+        inputs = WITH_REWARD_CASES[case]()
+        machine = inputs[0]
+        base = compile_at(inputs, 0.0, machine=Machine("other", machine.template))
+        direct = compile_at(inputs, reward)
+        rewarded = with_reward(base, machine.id, reward)
+        assert rewarded.rows == direct.rows
+        assert rewarded.states == direct.states and rewarded.actions == direct.actions
+        assert rewarded.machine_id == direct.machine_id == machine.id
+        assert rewarded == direct
+        assert base.machine_id == "other" and base.rows != direct.rows  # base left as it was
+
+    def test_cases_have_crash_variants_and_a_blocked_port(self):
+        assert len(compile_at(crash_model_inputs(), 1.0).states) > len(BELIEF) + 1
+        kept = {
+            case: {a.id for a in compile_at(make(), 1.0).actions}
+            for case, make in WITH_REWARD_CASES.items()
+        }
+        assert "exploit_SA" in kept["worked-example"]
+        assert kept["blocked-port"] == kept["worked-example"] - {"exploit_SA", "scan_port_2967"}
 
 
 class TestStepAndBeliefStep:
