@@ -17,8 +17,9 @@ from pentestplan.bench import (
     run_experiment,
     worked_example_scenario,
 )
-from pentestplan.planner import plan_attack
-from pentestplan.pomdp import CONTROLLED
+from pentestplan.netmodel import EMPTY_FIREWALL, action_usable
+from pentestplan.planner import machine_pomdp, plan_attack
+from pentestplan.pomdp import CONTROLLED, TERMINATE
 from pentestplan.scenario import emit_scenario, load_document, parse_scenario, scenario_from_dict
 from pentestplan.solver import format_policy, solve
 
@@ -299,6 +300,60 @@ class TestGlobalBaseline:
         configs = {mid: next(iter(sorted(b, key=str))) for mid, b in beliefs.items()}
         state = gp.state_from_configs(configs)
         assert len(state) == len(gp.machine_order)
+
+
+def dropped_moves(spec, gp):
+    """The (machine, kept local action) pairs that the global catalog leaves out."""
+    kept = {a.id for a in gp.pomdp.actions}
+    for machine_id in gp.machine_order:
+        machine = spec.net.machine(machine_id)
+        for a in machine_pomdp(spec, machine, EMPTY_FIREWALL, machine.reward).actions:
+            if f"{machine_id}.{a.id}" not in kept:
+                yield machine, a
+
+
+class TestMovePruning:
+    """The global catalog keeps every move that some reachable state can launch."""
+
+    @pytest.mark.parametrize("seed", [*range(40), 55, 219, 240, 365])
+    def test_dropped_moves_are_launchable_from_no_held_subnetwork(self, seed):
+        spec = random_scenario(seed)
+        net = spec.net
+        gp = build_global_pomdp(spec)
+        foothold = net.subnetwork_of(net.start_machine.id)
+        held_sets = {  # per reachable state: the foothold's and controlled machines' subnetworks
+            frozenset([foothold] + [
+                net.subnetwork_of(machine_id)
+                for machine_id, code in zip(gp.machine_order, state)
+                if code == 0
+            ])
+            for state in gp.pomdp.states
+        }
+        for machine, a in dropped_moves(spec, gp):
+            target = net.subnetwork_of(machine.id)
+            for held in held_sets:
+                assert target not in held
+                for source in held:
+                    firewall = net.arcs.get((source, target))
+                    assert firewall is None or not action_usable(a, firewall)
+
+    def test_some_seeds_drop_every_move(self):
+        for seed in (4, 219, 226):
+            spec = random_scenario(seed)
+            gp = build_global_pomdp(spec)
+            assert gp.pomdp.actions == () and len(list(dropped_moves(spec, gp))) == 16
+
+    def test_an_arc_blocking_every_service_port_leaves_no_moves(self):
+        doc = load_document(emit_scenario(worked_example_scenario()))
+        (arc,) = doc["arcs"]
+        arc["blocked_ports"] = sorted({a["port"] for a in doc["actions"] if "port" in a})
+        spec = scenario_from_dict(doc)
+        gp = build_global_pomdp(spec)
+        assert gp.pomdp.actions == ()
+        assert list(dropped_moves(spec, gp))  # the machine's own model has moves
+        result = solve(gp.pomdp)
+        assert result.value == 0.0
+        assert result.policy.action.kind == TERMINATE and not result.policy.branches
 
 
 class TestCalibration:

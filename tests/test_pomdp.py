@@ -1,12 +1,20 @@
+from itertools import chain, combinations, product
+
 import pytest
 
 from pentestplan.belief import DependencyModel, MarkovChain, ProgramModel
-from pentestplan.bench import worked_example_scenario
+from pentestplan.bench import (
+    BenchmarkParams,
+    generate_benchmark,
+    random_scenario,
+    worked_example_scenario,
+)
 from pentestplan.netmodel import EMPTY_FIREWALL, Firewall, Machine
 from pentestplan.pomdp import (
     CONTROLLED,
     ActionSpec,
     ConfigState,
+    ConfigTable,
     ModelError,
     OBS_CLOSED,
     OBS_FAILED,
@@ -22,6 +30,7 @@ from pentestplan.pomdp import (
     with_reward,
 )
 from pentestplan.solver import solve
+from test_bench import scan_after_crash_scenario
 
 
 def service_chain():
@@ -66,6 +75,17 @@ SCAN = ActionSpec(id="s", kind="port_scan", port=8080, r_t=-10.0)
 DETECT = ActionSpec(id="d", kind="os_detect", r_t=-50.0)
 
 
+def outcome(model, action, state):
+    """``local_outcome`` through a table of ``state``'s configuration and ``action``."""
+    return local_outcome(ConfigTable(model, (state.config,), (action,)), action, state)
+
+
+def informative(model, states, catalog):
+    """``informative_actions`` through a table of the states' configurations and ``catalog``."""
+    configs = list(dict.fromkeys(s.config for s in states))
+    return informative_actions(ConfigTable(model, configs, catalog), states)
+
+
 class TestActionSpec:
     def test_scan_needs_port(self):
         with pytest.raises(ModelError):
@@ -89,18 +109,18 @@ class TestLocalOutcome:
         model = make_model()
         open_state = ConfigState(("vulnerable", "linux"))
         closed_state = ConfigState(("patched", "linux"))
-        assert local_outcome(model, SCAN, open_state)[1] == OBS_OPEN
-        assert local_outcome(model, SCAN, closed_state)[1] == OBS_CLOSED
+        assert outcome(model, SCAN, open_state)[1] == OBS_OPEN
+        assert outcome(model, SCAN, closed_state)[1] == OBS_CLOSED
 
     def test_crashed_program_reads_closed(self):
         model = make_model()
         crashed = ConfigState(("vulnerable", "linux"), frozenset({"svc"}))
-        assert local_outcome(model, SCAN, crashed)[1] == OBS_CLOSED
+        assert outcome(model, SCAN, crashed)[1] == OBS_CLOSED
 
     def test_os_detect_reports_version(self):
         model = make_model()
         state = ConfigState(("vulnerable", "linux"))
-        assert local_outcome(model, DETECT, state)[1] == "os=linux"
+        assert outcome(model, DETECT, state)[1] == "os=linux"
 
     @pytest.mark.parametrize(
         "config, crashed, expected",
@@ -121,12 +141,12 @@ class TestLocalOutcome:
     ):
         model = DependencyModel(programs=(make_model().programs[0], shared_port_program()))
         state = ConfigState(config, frozenset(crashed))
-        assert local_outcome(model, SCAN, state)[1] == expected
+        assert outcome(model, SCAN, state)[1] == expected
 
     def test_os_detect_without_os_program_reports_unknown(self):
         model = DependencyModel(programs=(make_model().programs[0],))
         state = ConfigState(("vulnerable",))
-        assert local_outcome(model, DETECT, state)[1] == "os=unknown"
+        assert outcome(model, DETECT, state)[1] == "os=unknown"
 
     def test_os_detect_reports_the_first_os_program(self):
         bsd = ProgramModel("bsd", MarkovChain(("freebsd",), [[1.0]]), is_os=True)
@@ -140,31 +160,29 @@ class TestLocalOutcome:
                 {"svc": "vulnerable", "sys": "linux", "bsd": "freebsd"}[p.name]
                 for p in programs
             )
-            assert local_outcome(model, DETECT, ConfigState(config))[1] == f"os={expected}"
+            assert outcome(model, DETECT, ConfigState(config))[1] == f"os={expected}"
 
     def test_successful_exploit_takes_control(self):
         model = make_model()
-        nxt, obs, success = local_outcome(
-            model, exploit(), ConfigState(("vulnerable", "linux"))
-        )
+        nxt, obs, success = outcome(model, exploit(), ConfigState(("vulnerable", "linux")))
         assert (nxt, obs, success) == (CONTROLLED, OBS_SUCCEEDED, True)
 
     def test_failed_exploit_without_crash_changes_nothing(self):
         model = make_model()
         state = ConfigState(("patched", "linux"))
-        nxt, obs, success = local_outcome(model, exploit(), state)
+        nxt, obs, success = outcome(model, exploit(), state)
         assert nxt == state and obs == OBS_FAILED and not success
 
     def test_crashing_exploit_marks_the_program(self):
         model = make_model()
         state = ConfigState(("patched", "linux"))
-        nxt, obs, success = local_outcome(model, exploit(crash=True), state)
+        nxt, obs, success = outcome(model, exploit(crash=True), state)
         assert nxt.crashed == frozenset({"svc"}) and obs == OBS_FAILED
 
     def test_crashed_program_cannot_be_exploited(self):
         model = make_model()
         state = ConfigState(("vulnerable", "linux"), frozenset({"svc"}))
-        nxt, obs, success = local_outcome(model, exploit(), state)
+        nxt, obs, success = outcome(model, exploit(), state)
         assert nxt == state and not success
 
     def test_overlapping_predicates_rejected(self):
@@ -197,7 +215,7 @@ class TestInformativeActions:
     def test_constant_scan_dropped(self):
         model = make_model()
         states = [ConfigState(("patched", "linux"))]
-        assert informative_actions(model, states, [SCAN]) == []
+        assert informative(model, states, [SCAN]) == []
 
     def test_varying_scan_kept(self):
         model = make_model()
@@ -205,12 +223,12 @@ class TestInformativeActions:
             ConfigState(("patched", "linux")),
             ConfigState(("vulnerable", "linux")),
         ]
-        assert informative_actions(model, states, [SCAN]) == [SCAN]
+        assert informative(model, states, [SCAN]) == [SCAN]
 
     def test_hopeless_exploit_dropped(self):
         model = make_model()
         states = [ConfigState(("patched", "linux"))]
-        assert informative_actions(model, states, [exploit()]) == []
+        assert informative(model, states, [exploit()]) == []
 
     def test_invisible_crash_exploit_dropped(self):
         # the exploit never succeeds, the crashed port is closed anyway, and
@@ -218,7 +236,7 @@ class TestInformativeActions:
         model = make_model()
         states = [ConfigState(("patched", "linux"))]
         catalog = [exploit(crash=True), SCAN, DETECT]
-        kept = informative_actions(model, states, catalog)
+        kept = informative(model, states, catalog)
         assert exploit(crash=True) not in kept
 
     def test_visible_crash_exploit_kept(self):
@@ -233,7 +251,7 @@ class TestInformativeActions:
         model = DependencyModel(programs=(svc,))
         states = [ConfigState(("patched",))]
         catalog = [exploit(crash=True), SCAN]
-        kept = informative_actions(model, states, catalog)
+        kept = informative(model, states, catalog)
         assert exploit(crash=True) in kept
 
     def test_crash_exploit_on_a_shared_port_kept(self):
@@ -242,10 +260,10 @@ class TestInformativeActions:
         never_open = ProgramModel("svc", service_chain(), port=8080)
         catalog = [exploit(crash=True), SCAN]
         alone = DependencyModel(programs=(never_open,))
-        assert informative_actions(alone, [ConfigState(("patched",))], catalog) == []
+        assert informative(alone, [ConfigState(("patched",))], catalog) == []
         shared = DependencyModel(programs=(shared_port_program(), never_open))
         states = [ConfigState(("listening", "patched")), ConfigState(("closed", "patched"))]
-        kept = informative_actions(shared, states, catalog)
+        kept = informative(shared, states, catalog)
         assert exploit(crash=True) in kept
 
 
@@ -271,7 +289,7 @@ def unpruned(crash=False):
             ]
         out = []
         for a in actions:
-            nxt, obs, success = local_outcome(model, a, state)
+            nxt, obs, success = outcome(model, a, state)
             out.append((nxt, obs, a.r_t + (100.0 if success else 0.0)))
         return out
 
@@ -366,6 +384,21 @@ class TestWithReward:
         assert rewarded == direct
         assert base.machine_id == "other" and base.rows != direct.rows  # base left as it was
 
+    def test_copies_are_read_only(self):
+        inputs = worked_example_inputs()
+        base = compile_at(inputs, 0.0)
+        copy = with_reward(base, "m", 100.0)
+        state = next(iter(copy.b0))
+        with pytest.raises(TypeError):
+            copy.b0[state] = 1.0
+        with pytest.raises(TypeError):
+            copy.obs_values[0] = "edited"
+        with pytest.raises(TypeError):
+            copy.index[state] = 0
+        with pytest.raises(TypeError):
+            copy.action_pos["exploit_SA"] = 0
+        assert base == compile_at(inputs, 0.0)
+
     def test_cases_have_crash_variants_and_a_blocked_port(self):
         assert len(compile_at(crash_model_inputs(), 1.0).states) > len(BELIEF) + 1
         kept = {
@@ -374,6 +407,151 @@ class TestWithReward:
         }
         assert "exploit_SA" in kept["worked-example"]
         assert kept["blocked-port"] == kept["worked-example"] - {"exploit_SA", "scan_port_2967"}
+
+
+def reference_outcome(model, action, state):
+    """``local_outcome``'s semantics as predicates, evaluated on each call."""
+    config, crashed = state.config, state.crashed
+
+    def holds(predicate):
+        return bool(predicate) and all(
+            model.version(config, p) in v for p, v in predicate.items()
+        )
+
+    if action.kind == "port_scan":
+        is_open = any(
+            name not in crashed and config[i] in opens
+            for i, name, opens in model.on_port.get(action.port, ())
+        )
+        return state, (OBS_OPEN if is_open else OBS_CLOSED), False
+    if action.kind == "os_detect":
+        i = model.os_position
+        return state, f"os={'unknown' if i is None else config[i]}", False
+    if action.program in crashed:
+        return state, OBS_FAILED, False
+    if holds(action.success):
+        return CONTROLLED, OBS_SUCCEEDED, True
+    if holds(action.crash):
+        return ConfigState(config, crashed | {action.program}), OBS_FAILED, False
+    return state, OBS_FAILED, False
+
+
+def reference_informative(model, states, actions):
+    """``informative_actions`` by ``reference_outcome`` on every (action, state)."""
+
+    def crash_invisible(a):
+        port = model.program(a.program).port
+        if port is not None and len(model.on_port[port]) > 1:
+            return False
+        reading = [
+            b for b in actions
+            if (b.kind == "port_scan" and b.port == port)
+            or (b.kind == "exploit" and b.program == a.program)
+        ]
+        return all(
+            reference_outcome(model, b, s)[1:]
+            == reference_outcome(model, b, ConfigState(s.config, s.crashed | {a.program}))[1:]
+            for s in states
+            for b in reading
+        )
+
+    kept = []
+    for a in actions:
+        results = [reference_outcome(model, a, s) for s in states]
+        can_succeed = any(success for _, _, success in results)
+        observations = {obs for _, obs, _ in results}
+        crashes = any(nxt != s for s, (nxt, _, _) in zip(states, results))
+        if can_succeed or len(observations) > 1 or (crashes and not crash_invisible(a)):
+            kept.append(a)
+    return kept
+
+
+def shared_port_and_os_case():
+    """svc, aux and dead share port 8080, and the OS program has two versions.
+
+    ``xd`` never succeeds and crashes dead, which is never open: only the
+    shared port makes that crash count as visible.
+    """
+    svc = make_model().programs[0]
+    osp = ProgramModel(
+        "sys", MarkovChain(("linux", "bsd"), [[0.5, 0.5], [0.0, 1.0]]), is_os=True
+    )
+    dead = ProgramModel("dead", MarkovChain(("up", "down"), [[0.5, 0.5], [0.0, 1.0]]), port=8080)
+    model = DependencyModel(programs=(svc, osp, shared_port_program(), dead))
+    configs = list(product(
+        ("vulnerable", "patched"), ("linux", "bsd"), ("listening", "closed"), ("up", "down")
+    ))
+    aux_exploit = ActionSpec(
+        id="xa", kind="exploit", port=8080, program="aux",
+        success={"aux": ["listening"], "sys": ["linux"]}, crash={"aux": ["closed"]},
+    )
+    dead_exploit = ActionSpec(
+        id="xd", kind="exploit", port=8080, program="dead",
+        success={"dead": ["up"], "sys": ["solaris"]}, crash={"dead": ["down"]},
+    )
+    catalog = [exploit(crash=True), aux_exploit, dead_exploit, SCAN, DETECT]
+    return model, {c: 1 / len(configs) for c in configs}, catalog
+
+
+def scan_sees_crash_case():
+    """x only crashes svc, and only the scan of svc's port can tell."""
+    svc = ProgramModel(
+        "svc", service_chain(), port=8080, open_states=frozenset({"vulnerable", "patched"})
+    )
+    return DependencyModel(programs=(svc,)), {("patched",): 1.0}, [exploit(crash=True), SCAN]
+
+
+def scenario_cases(spec):
+    """(model, belief, catalog) for one machine of each template of ``spec``."""
+    machines = {m.template: m for m in spec.net.machines() if m.template is not None}
+    return [(spec.model, spec.machine_belief(m), list(spec.actions)) for m in machines.values()]
+
+
+TABLE_CASES = {
+    "worked-example": lambda: scenario_cases(worked_example_scenario()),
+    "scan-after-crash": lambda: scenario_cases(scan_after_crash_scenario()),
+    "random-49": lambda: scenario_cases(random_scenario(49)),
+    "benchmark-60x13": lambda: scenario_cases(generate_benchmark(BenchmarkParams(60, 13))),
+    "shared-port-and-os": lambda: [shared_port_and_os_case()],
+    "scan-sees-crash": lambda: [scan_sees_crash_case()],
+}
+
+
+class TestConfigTable:
+    """The position tables against the predicates they replace."""
+
+    @pytest.mark.parametrize("case", TABLE_CASES)
+    def test_lookups_and_pruning_match_the_predicates(self, case):
+        for model, belief, catalog in TABLE_CASES[case]():
+            crashable = sorted({a.program for a in catalog if a.kind == "exploit" and a.crash})
+            flag_sets = chain.from_iterable(
+                combinations(crashable, k) for k in range(len(crashable) + 1)
+            )
+            variants = [ConfigState(c, frozenset(f)) for f in flag_sets for c in belief]
+            support = variants[: len(belief)]  # the uncrashed states come first
+            table = ConfigTable(model, belief, catalog)
+            for a in catalog:
+                for state in variants:
+                    assert local_outcome(table, a, state) == reference_outcome(model, a, state)
+            compiled = build_machine_pomdp(
+                Machine("m", "t"), EMPTY_FIREWALL, 1.0, belief, catalog, model
+            ).states[1:]
+            for states in (support, variants, compiled):
+                kept = informative_actions(table, states)
+                assert kept == reference_informative(model, states, catalog)
+
+    def test_cases_cover_crashes_shared_ports_and_os_detection(self):
+        crashable = {
+            case: {a.program for _, _, catalog in make() for a in catalog if a.crash}
+            for case, make in TABLE_CASES.items()
+        }
+        assert crashable["random-49"] == {"svc1", "svc3"}
+        assert crashable["shared-port-and-os"] == {"svc", "aux", "dead"}
+        model, belief, catalog = shared_port_and_os_case()
+        assert len(model.on_port[8080]) == 3
+        table = ConfigTable(model, belief, catalog)
+        kept = informative_actions(table, [ConfigState(c) for c in belief])
+        assert {"d", "xd"} <= {a.id for a in kept}
 
 
 class TestStepAndBeliefStep:
