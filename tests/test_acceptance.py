@@ -116,11 +116,11 @@ def worked_example():
 
 
 def _branches(pomdp, belief: dict, action_id: str) -> dict:
-    """``{observation: (posterior over states, probability, expected reward)}``
+    """``{observation: (posterior over state positions, probability, expected reward)}``
     of one action over a belief, from ``MachinePOMDP.split``."""
-    groups = pomdp.split(pomdp.indexed(belief), pomdp.action_pos[action_id])
+    groups = pomdp.split(belief, pomdp.action_pos[action_id])
     return {
-        pomdp.obs_values[code]: ({pomdp.states[i]: m for i, m in post.items()}, prob, r)
+        pomdp.obs_values[code]: (post, prob, r)
         for code, (post, prob, r, _) in groups.items()
     }
 

@@ -206,8 +206,8 @@ class TestGlobalBaseline:
     @pytest.mark.parametrize("seed", [*range(40), 49, 55, 111, 240, 270, 279, 304, 365])
     def test_states_sort_like_their_decoded_strings(self, seed):
         gp = build_global_pomdp(random_scenario(seed))
-        start = list(gp.pomdp.b0)
-        assert list(gp.pomdp.states[: len(start)]) == start
+        start = [gp.pomdp.states[i] for i in gp.pomdp.b0]
+        assert list(gp.pomdp.b0) == list(range(len(start)))
         decoded = [decode(gp, s) for s in start]
         assert decoded == sorted(decoded, key=lambda d: [str(s.config) for s in d])
         assert all(local[0] is CONTROLLED for local in gp.local_states)
@@ -215,7 +215,7 @@ class TestGlobalBaseline:
     @pytest.mark.parametrize("seed", [0, 2, 7, 55])
     def test_initial_states_round_trip_through_configs(self, seed):
         gp = build_global_pomdp(random_scenario(seed))
-        for state in gp.pomdp.b0:
+        for state in map(gp.pomdp.states.__getitem__, gp.pomdp.b0):
             locals_ = decode(gp, state)
             assert all(not local.crashed for local in locals_)
             configs = dict(zip(gp.machine_order, (local.config for local in locals_)))

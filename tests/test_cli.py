@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 import yaml
 
+from pentestplan import solver
 from pentestplan.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -16,6 +18,7 @@ from pentestplan.cli import (
 from pentestplan.planner import plan_attack
 from pentestplan.scenario import dump_document, load_document, parse_scenario
 from pentestplan.sim import monte_carlo
+from test_planner import complete_digraph
 
 DATA = Path(__file__).parent / "data"
 OS_LABEL_WITH_COLON = DATA / "os_label_with_colon.yaml"
@@ -314,6 +317,24 @@ class TestPlan:
     def test_resource_bound(self, scenario_file):
         code = main(["plan", str(scenario_file), "--baseline", "--max-global-states", "2"])
         assert code == EXIT_RESOURCE
+
+    @pytest.mark.parametrize("bound", ["MAX_BELIEF_NODES", "MAX_SEARCH_DEPTH"])
+    def test_solver_bounds(self, tmp_path, capsys, monkeypatch, bound):
+        path = tmp_path / "example.json"
+        assert main(["gen", "--preset", "example", "--out", str(path)]) == EXIT_OK
+        monkeypatch.setattr(solver, bound, 1)
+        assert main(["plan", str(path)]) == EXIT_RESOURCE
+        assert "resource bound exceeded" in capsys.readouterr().err
+
+    # simple entry paths into the target: 1,957 at k = 8, 109,601 at k = 10
+    @pytest.mark.parametrize("k, code", [(8, EXIT_OK), (10, EXIT_RESOURCE)])
+    def test_entry_path_bound(self, tmp_path, capsys, k, code):
+        path = tmp_path / "complete.json"
+        path.write_text(dump_document(complete_digraph(k)))
+        started = time.perf_counter()
+        assert main(["plan", str(path)]) == code
+        assert time.perf_counter() - started < 2.0
+        assert ("resource bound exceeded" in capsys.readouterr().err) == (code == EXIT_RESOURCE)
 
 
 class TestSimulate:

@@ -6,11 +6,13 @@ import sys
 
 import pytest
 
+from pentestplan import planner as planner_module
 from pentestplan.bench import (
     BenchmarkParams,
     build_global_pomdp,
     generate_benchmark,
     random_scenario,
+    worked_example_scenario,
 )
 from pentestplan.netmodel import EMPTY_FIREWALL, Firewall, LogicalNetwork, Machine
 from pentestplan.planner import (
@@ -22,7 +24,26 @@ from pentestplan.planner import (
 )
 from pentestplan.pomdp import build_machine_pomdp
 from pentestplan.report import plan_to_yaml
+from pentestplan.scenario import emit_scenario, load_document, scenario_from_dict
 from pentestplan.solver import solve
+
+
+def complete_digraph(k):
+    """The worked example's scenario document on a complete digraph of ``k`` subnetworks.
+
+    The foothold's subnetwork is one of them; each other holds one machine,
+    and only the last one's is rewarded.
+    """
+    doc = load_document(emit_scenario(worked_example_scenario()))
+    names = ["foothold", *[f"n{i}" for i in range(1, k)]]
+    doc["subnetworks"] = names
+    doc["machines"] = [{"id": "attacker", "reward": 0.0, "subnetwork": "foothold"}] + [
+        {"id": f"m{i}", "reward": 100.0 * (i == k - 1), "subnetwork": f"n{i}",
+         "template": "last_pentest"}
+        for i in range(1, k)
+    ]
+    doc["arcs"] = [{"blocked_ports": [], "from": a, "to": b} for a in names for b in names if a != b]
+    return doc
 
 
 def network(subnets, arcs, start="s0"):
@@ -193,7 +214,7 @@ class TestDecompose:
             [("s0", "a"), ("b", "a")],  # b only points inward, never reached
         )
         tree = decompose(net)
-        assert tree.pruned == {"b"}
+        assert set(net.subnetworks) - set().union(*tree.components) == {"b"}
         assert all("b" not in comp for comp in tree.components)
 
     def test_cross_component_arcs_removed(self):
@@ -305,6 +326,17 @@ class TestPlanning:
             planner.attack_component(
                 big, tree, {n: 0.0 for c in tree.components for n in c}
             )
+
+    def test_entry_path_bound(self, monkeypatch):
+        # into one vertex of a 7-vertex complete digraph: itself, and from each
+        # of the other 6 through any ordered subset of the remaining 5
+        spec = scenario_from_dict(complete_digraph(8))
+        tree = decompose(spec.net)
+        planner = DecompositionPlanner(spec)
+        assert len(planner._entry_paths(tree.components[1], tree, "n7")) == 1 + 6 * 326
+        monkeypatch.setattr(planner_module, "MAX_ENTRY_PATHS", 1956)
+        with pytest.raises(ComponentSizeError, match="more than 1956 simple entry paths to 'n7'"):
+            planner._entry_paths(tree.components[1], tree, "n7")
 
     def test_solve_cache_reused_across_identical_machines(self):
         spec = random_scenario(12)

@@ -164,26 +164,26 @@ class TestLocalOutcome:
 
     def test_successful_exploit_takes_control(self):
         model = make_model()
-        nxt, obs, success = outcome(model, exploit(), ConfigState(("vulnerable", "linux")))
-        assert (nxt, obs, success) == (CONTROLLED, OBS_SUCCEEDED, True)
+        nxt, obs = outcome(model, exploit(), ConfigState(("vulnerable", "linux")))
+        assert (nxt, obs) == (CONTROLLED, OBS_SUCCEEDED)
 
     def test_failed_exploit_without_crash_changes_nothing(self):
         model = make_model()
         state = ConfigState(("patched", "linux"))
-        nxt, obs, success = outcome(model, exploit(), state)
-        assert nxt == state and obs == OBS_FAILED and not success
+        nxt, obs = outcome(model, exploit(), state)
+        assert nxt == state and obs == OBS_FAILED and nxt is not CONTROLLED
 
     def test_crashing_exploit_marks_the_program(self):
         model = make_model()
         state = ConfigState(("patched", "linux"))
-        nxt, obs, success = outcome(model, exploit(crash=True), state)
+        nxt, obs = outcome(model, exploit(crash=True), state)
         assert nxt.crashed == frozenset({"svc"}) and obs == OBS_FAILED
 
     def test_crashed_program_cannot_be_exploited(self):
         model = make_model()
         state = ConfigState(("vulnerable", "linux"), frozenset({"svc"}))
-        nxt, obs, success = outcome(model, exploit(), state)
-        assert nxt == state and not success
+        nxt, obs = outcome(model, exploit(), state)
+        assert nxt == state and nxt is not CONTROLLED
 
     def test_overlapping_predicates_rejected(self):
         with pytest.raises(ModelError, match="can both hold"):
@@ -289,8 +289,8 @@ def unpruned(crash=False):
             ]
         out = []
         for a in actions:
-            nxt, obs, success = outcome(model, a, state)
-            out.append((nxt, obs, a.r_t + (100.0 if success else 0.0)))
+            nxt, obs = outcome(model, a, state)
+            out.append((nxt, obs, a.r_t + (100.0 if nxt is CONTROLLED else 0.0)))
         return out
 
     b0 = {ConfigState(c): m for c, m in BELIEF.items()}
@@ -320,7 +320,7 @@ class TestBuildMachinePomdp:
     def test_success_reward_is_cost_plus_break_in(self):
         pomdp = build()
         vulnerable = ConfigState(("vulnerable", "linux"))
-        nxt, _, r = step(pomdp, vulnerable, pomdp.action("x"))
+        nxt, _, r = step(pomdp, vulnerable, exploit())
         assert nxt == CONTROLLED and r == pytest.approx(90.0)
 
     def test_negative_break_in_reward_rejected(self):
@@ -388,16 +388,30 @@ class TestWithReward:
         inputs = worked_example_inputs()
         base = compile_at(inputs, 0.0)
         copy = with_reward(base, "m", 100.0)
-        state = next(iter(copy.b0))
+        position = next(iter(copy.b0))
         with pytest.raises(TypeError):
-            copy.b0[state] = 1.0
+            copy.b0[position] = 1.0
         with pytest.raises(TypeError):
             copy.obs_values[0] = "edited"
         with pytest.raises(TypeError):
-            copy.index[state] = 0
+            copy.index[copy.states[position]] = 0
         with pytest.raises(TypeError):
             copy.action_pos["exploit_SA"] = 0
         assert base == compile_at(inputs, 0.0)
+
+    @pytest.mark.parametrize("reward", [0.0, 100.0])
+    def test_b0_is_a_read_only_float_map_by_position(self, reward):
+        inputs = worked_example_inputs()
+        belief = inputs[2]
+        pomdp = compile_at(inputs, reward)
+        assert list(pomdp.b0) == list(range(1, len(belief) + 1))  # after CONTROLLED
+        assert [pomdp.states[i].config for i in pomdp.b0] == list(belief)
+        assert all(type(m) is float for m in pomdp.b0.values())
+        assert list(pomdp.b0.values()) == list(belief.values())
+        assert sum(pomdp.b0.values()) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(TypeError):
+            pomdp.b0[1] = 1.0
+        assert with_reward(pomdp, "other", 5.0).b0 is pomdp.b0
 
     def test_cases_have_crash_variants_and_a_blocked_port(self):
         assert len(compile_at(crash_model_inputs(), 1.0).states) > len(BELIEF) + 1
@@ -415,7 +429,7 @@ def reference_outcome(model, action, state):
 
     def holds(predicate):
         return bool(predicate) and all(
-            model.version(config, p) in v for p, v in predicate.items()
+            config[model.names.index(p)] in v for p, v in predicate.items()
         )
 
     if action.kind == "port_scan":
@@ -423,17 +437,17 @@ def reference_outcome(model, action, state):
             name not in crashed and config[i] in opens
             for i, name, opens in model.on_port.get(action.port, ())
         )
-        return state, (OBS_OPEN if is_open else OBS_CLOSED), False
+        return state, (OBS_OPEN if is_open else OBS_CLOSED)
     if action.kind == "os_detect":
         i = model.os_position
-        return state, f"os={'unknown' if i is None else config[i]}", False
+        return state, f"os={'unknown' if i is None else config[i]}"
     if action.program in crashed:
-        return state, OBS_FAILED, False
+        return state, OBS_FAILED
     if holds(action.success):
-        return CONTROLLED, OBS_SUCCEEDED, True
+        return CONTROLLED, OBS_SUCCEEDED
     if holds(action.crash):
-        return ConfigState(config, crashed | {action.program}), OBS_FAILED, False
-    return state, OBS_FAILED, False
+        return ConfigState(config, crashed | {action.program}), OBS_FAILED
+    return state, OBS_FAILED
 
 
 def reference_informative(model, states, actions):
@@ -458,9 +472,9 @@ def reference_informative(model, states, actions):
     kept = []
     for a in actions:
         results = [reference_outcome(model, a, s) for s in states]
-        can_succeed = any(success for _, _, success in results)
-        observations = {obs for _, obs, _ in results}
-        crashes = any(nxt != s for s, (nxt, _, _) in zip(states, results))
+        can_succeed = any(nxt is CONTROLLED for nxt, _ in results)
+        observations = {obs for _, obs in results}
+        crashes = any(nxt != s for s, (nxt, _) in zip(states, results))
         if can_succeed or len(observations) > 1 or (crashes and not crash_invisible(a)):
             kept.append(a)
     return kept
@@ -517,17 +531,20 @@ TABLE_CASES = {
 }
 
 
+def crash_variants(belief, catalog):
+    """Every configuration of ``belief`` under every set of crashable programs' flags."""
+    crashable = sorted({a.program for a in catalog if a.kind == "exploit" and a.crash})
+    flag_sets = chain.from_iterable(combinations(crashable, k) for k in range(len(crashable) + 1))
+    return [ConfigState(c, frozenset(f)) for f in flag_sets for c in belief]
+
+
 class TestConfigTable:
     """The position tables against the predicates they replace."""
 
     @pytest.mark.parametrize("case", TABLE_CASES)
     def test_lookups_and_pruning_match_the_predicates(self, case):
         for model, belief, catalog in TABLE_CASES[case]():
-            crashable = sorted({a.program for a in catalog if a.kind == "exploit" and a.crash})
-            flag_sets = chain.from_iterable(
-                combinations(crashable, k) for k in range(len(crashable) + 1)
-            )
-            variants = [ConfigState(c, frozenset(f)) for f in flag_sets for c in belief]
+            variants = crash_variants(belief, catalog)
             support = variants[: len(belief)]  # the uncrashed states come first
             table = ConfigTable(model, belief, catalog)
             for a in catalog:
@@ -539,6 +556,15 @@ class TestConfigTable:
             for states in (support, variants, compiled):
                 kept = informative_actions(table, states)
                 assert kept == reference_informative(model, states, catalog)
+
+    @pytest.mark.parametrize("case", TABLE_CASES)
+    def test_next_state_is_controlled_exactly_on_a_success(self, case):
+        for model, belief, catalog in TABLE_CASES[case]():
+            table = ConfigTable(model, belief, catalog)
+            for a in catalog:
+                for state in crash_variants(belief, catalog):
+                    nxt, obs = local_outcome(table, a, state)
+                    assert (nxt is CONTROLLED) == (obs == OBS_SUCCEEDED)
 
     def test_cases_cover_crashes_shared_ports_and_os_detection(self):
         crashable = {
@@ -558,7 +584,7 @@ class TestStepAndBeliefStep:
     def test_step_matches_tables(self):
         pomdp = build()
         vulnerable = ConfigState(("vulnerable", "linux"))
-        nxt, obs, r = step(pomdp, vulnerable, pomdp.action("x"))
+        nxt, obs, r = step(pomdp, vulnerable, exploit())
         assert nxt == CONTROLLED and obs == OBS_SUCCEEDED and r == pytest.approx(90.0)
 
     def test_step_rejects_filtered_action(self):
@@ -574,7 +600,7 @@ class TestStepAndBeliefStep:
 
     def test_belief_step_partitions_probability(self):
         pomdp = build()
-        groups = pomdp.split(pomdp.indexed(pomdp.b0), pomdp.action_pos["s"])
+        groups = pomdp.split(pomdp.b0, pomdp.action_pos["s"])
         assert sum(prob for _, prob, _, _ in groups.values()) == pytest.approx(1.0)
         by_obs = {pomdp.obs_values[code]: post for code, (post, *_) in groups.items()}
         assert set(by_obs) == {OBS_OPEN, OBS_CLOSED}
@@ -583,7 +609,7 @@ class TestStepAndBeliefStep:
 
     def test_belief_step_expected_reward_is_cost(self):
         pomdp = build()
-        groups = pomdp.split(pomdp.indexed(pomdp.b0), pomdp.action_pos["s"])
+        groups = pomdp.split(pomdp.b0, pomdp.action_pos["s"])
         assert len(groups) == 2
         for _, _, reward, _ in groups.values():
             assert reward == pytest.approx(-10.0)

@@ -185,7 +185,7 @@ class TestRollout:
         spec, pomdp = example
         plan = plan_attack(spec)
         attack = plan.components[0].paths[0].steps[0].first
-        attack.policy = PolicyNode(pomdp.action("scan_port_2967"))
+        attack.policy = PolicyNode(pomdp.actions[pomdp.action_pos["scan_port_2967"]])
         truth = sample_ground_truth(scenario_beliefs(spec), 0)
         with pytest.raises(SimulationError, match="no branch"):
             rollout(spec, plan, truth)
@@ -275,20 +275,20 @@ class TestPomdpRollout:
     def test_rollout_trace_totals(self, example):
         _, pomdp = example
         policy = solve(pomdp).policy
-        state = max(pomdp.b0, key=pomdp.b0.get)
+        state = pomdp.states[max(pomdp.b0, key=pomdp.b0.get)]
         trace = rollout_pomdp(pomdp, policy, state)
         assert trace.total == pytest.approx(sum(r for *_, r in trace.steps))
 
     def test_policy_without_branch_rejected(self, example):
         _, pomdp = example
-        state = max(pomdp.b0, key=pomdp.b0.get)
+        state = pomdp.states[max(pomdp.b0, key=pomdp.b0.get)]
         with pytest.raises(SimulationError, match="no branch"):
-            rollout_pomdp(pomdp, PolicyNode(pomdp.action("scan_port_2967")), state)
+            rollout_pomdp(pomdp, PolicyNode(pomdp.actions[pomdp.action_pos["scan_port_2967"]]), state)
 
     def test_format_trace_layout(self, example):
         _, pomdp = example
         policy = solve(pomdp).policy
-        state = max(pomdp.b0, key=pomdp.b0.get)
+        state = pomdp.states[max(pomdp.b0, key=pomdp.b0.get)]
         text = format_trace(rollout_pomdp(pomdp, policy, state), seed=7)
         lines = text.splitlines()
         assert lines[0].startswith("# rollout seed=7")

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 from pentestplan.bench import build_global_pomdp, random_scenario, worked_example_scenario
 from pentestplan.belief import DependencyModel, MarkovChain, ProgramModel
 from pentestplan.netmodel import EMPTY_FIREWALL, Firewall, Machine
+from pentestplan import solver
 from pentestplan.pomdp import (
     ActionSpec,
     ModelError,
     OBS_OPEN,
+    ResourceBoundError,
     TERMINATE_ACTION,
     build_machine_pomdp,
     step,
@@ -91,9 +93,26 @@ class TestSolveOnHandCases:
     def test_from_belief_override(self):
         from pentestplan.pomdp import ConfigState
 
-        pomdp = dataclasses.replace(gated_pomdp(), b0={ConfigState(("off", "vulnerable")): 1.0})
+        base = gated_pomdp()
+        pomdp = dataclasses.replace(base, b0={base.index[ConfigState(("off", "vulnerable"))]: 1.0})
         result = solve(pomdp)
         assert result.value == pytest.approx(90.0, abs=1e-9)
+
+
+class TestResourceBounds:
+    @pytest.mark.parametrize("bound, passed", [
+        ("MAX_BELIEF_NODES", "1 nodes"), ("MAX_SEARCH_DEPTH", "depth 1"),
+    ])
+    def test_solve_past_a_bound_raises(self, monkeypatch, bound, passed):
+        spec = worked_example_scenario()
+        machine = spec.net.machine("m")
+        pomdp = build_machine_pomdp(
+            machine, EMPTY_FIREWALL, 100.0, spec.machine_belief(machine), spec.actions, spec.model
+        )
+        assert solve(pomdp).value > 0
+        monkeypatch.setattr(solver, bound, 1)
+        with pytest.raises(ResourceBoundError, match=f"solving m passes {passed}$"):
+            solve(pomdp)
 
 
 class TestAgainstBruteForce:
@@ -139,7 +158,7 @@ class TestEvaluatePolicy:
 
     def test_missing_branch_raises(self):
         pomdp = gated_pomdp()
-        headless = PolicyNode(pomdp.action("s"), {}, 0.0)
+        headless = PolicyNode(pomdp.actions[pomdp.action_pos["s"]], {}, 0.0)
         with pytest.raises(SolverError, match="no branch"):
             evaluate_policy(pomdp, headless)
 
@@ -211,7 +230,7 @@ class TestGlobalModels:
         for pomdp, result in criterion_4_solves.values():
             search = _Search(pomdp)
             V = search.full_info
-            b0 = pomdp.indexed(pomdp.b0)
+            b0 = pomdp.b0
             assert sum(m * V[s] for s, m in b0.items()) >= result.value - 1e-9
             for s in b0:
                 single = {s: 1.0}
