@@ -21,7 +21,7 @@ from pentestplan.bench import (
     worked_example_scenario,
 )
 from pentestplan.netmodel import EMPTY_FIREWALL, Machine
-from pentestplan.planner import biconnected_decomposition, plan_attack
+from pentestplan.planner import plan_attack
 from pentestplan.pomdp import (
     ActionSpec,
     ConfigState,
@@ -32,7 +32,7 @@ from pentestplan.pomdp import (
 from pentestplan.solver import brute_force_value, evaluate_policy, solve
 from pentestplan.sim import rollout_pomdp, sampled_mean
 
-from test_planner import oracle_components, oracle_cut_vertices
+from test_planner import biconnected_decomposition, oracle_components, oracle_cut_vertices
 
 
 def random_small_pomdp(seed):

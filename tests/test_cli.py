@@ -412,6 +412,24 @@ class TestSimulate:
         assert code == EXIT_INVALID
         assert "'user02'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--trace"]], ids=["monte-carlo", "trace"])
+    @pytest.mark.parametrize("field", ["parent", "target", "subnetwork", "machine"])
+    def test_plan_id_that_is_not_a_string_is_invalid(self, tmp_path, capsys, field, extra):
+        net, plan = tmp_path / "net.json", tmp_path / "plan.json"
+        main(["gen", "--machines", "30", "--exploits", "20", "--seed", "7", "--out", str(net)])
+        assert main(["plan", str(net), "--out", str(plan)]) == EXIT_OK
+        doc = load_document(plan.read_text())
+        comp = next(c for c in doc["components"] if c["paths"])
+        path = comp["paths"][0]
+        step = path["steps"][0]
+        holder = {"parent": comp, "target": path, "subnetwork": step, "machine": step["first"]}[field]
+        holder[field] = [holder[field]]
+        plan.write_text(dump_document(doc))
+        capsys.readouterr()
+        code = main(["simulate", str(net), str(plan), "--rollouts", "10"] + extra)
+        assert code == EXIT_INVALID
+        assert "invalid input" in capsys.readouterr().err
+
     def test_plan_through_a_closed_firewall_is_invalid(self, tmp_path, capsys):
         net, plan = tmp_path / "net.yaml", tmp_path / "plan.yaml"
         main(["gen", "--machines", "30", "--exploits", "20", "--seed", "7", "--out", str(net)])
