@@ -307,7 +307,7 @@ def dropped_moves(spec, gp):
     kept = {a.id for a in gp.pomdp.actions}
     for machine_id in gp.machine_order:
         machine = spec.net.machine(machine_id)
-        for a in machine_pomdp(spec, machine, EMPTY_FIREWALL, machine.reward).actions:
+        for a in machine_pomdp(spec, machine, EMPTY_FIREWALL).actions:
             if f"{machine_id}.{a.id}" not in kept:
                 yield machine, a
 

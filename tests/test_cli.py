@@ -19,6 +19,7 @@ from pentestplan.planner import plan_attack
 from pentestplan.scenario import dump_document, load_document, parse_scenario
 from pentestplan.sim import monte_carlo
 from test_planner import complete_digraph
+from test_report import DEEP_POLICY_MEAN, deep_policy
 
 DATA = Path(__file__).parent / "data"
 OS_LABEL_WITH_COLON = DATA / "os_label_with_colon.yaml"
@@ -364,23 +365,18 @@ class TestSimulate:
         assert "value must be a finite number" in capsys.readouterr().err
 
     def test_deep_policy_simulates(self, tmp_path, capsys):
-        # the first attack becomes 1,500 OS detections in a row, each
-        # branching on the benchmark's one OS label, then gives up
-        depth = 1500
-        lines = ["detect_os value=0.000000"]
-        lines += [f"{'  ' * k}os=stable: detect_os value=0.000000" for k in range(1, depth)]
-        lines.append(f"{'  ' * depth}os=stable: terminate value=0.000000")
+        # the first attack becomes 1,500 scans in a row while its port reads closed
         scenario_path, plan_path = tmp_path / "scenario.yaml", tmp_path / "plan.yaml"
         argv = ["gen", "--machines", "4", "--exploits", "3", "--seed", "0"]
         assert main([*argv, "--out", str(scenario_path)]) == EXIT_OK
         assert main(["plan", str(scenario_path), "--out", str(plan_path)]) == EXIT_OK
         doc = load_document(plan_path.read_text())
-        doc["components"][0]["paths"][0]["steps"][0]["first"]["policy"] = "\n".join(lines)
+        doc["components"][0]["paths"][0]["steps"][0]["first"]["policy"] = deep_policy(1500)
         plan_path.write_text(dump_document(doc))
         capsys.readouterr()
         code = main(["simulate", str(scenario_path), str(plan_path), "--rollouts", "3"])
         assert code == EXIT_OK
-        assert capsys.readouterr().out.startswith(f"mean {-50.0 * depth:.6f} ")
+        assert capsys.readouterr().out.startswith(f"mean {DEEP_POLICY_MEAN:.6f} ")
 
     def test_colon_in_os_label_simulates_like_the_plan_in_memory(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.yaml"
@@ -413,7 +409,7 @@ class TestSimulate:
         assert "'user02'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [[], ["--trace"]], ids=["monte-carlo", "trace"])
-    @pytest.mark.parametrize("field", ["parent", "target", "subnetwork", "machine"])
+    @pytest.mark.parametrize("field", ["parent", "target", "subnetwork", "machine", "members"])
     def test_plan_id_that_is_not_a_string_is_invalid(self, tmp_path, capsys, field, extra):
         net, plan = tmp_path / "net.json", tmp_path / "plan.json"
         main(["gen", "--machines", "30", "--exploits", "20", "--seed", "7", "--out", str(net)])
@@ -422,7 +418,8 @@ class TestSimulate:
         comp = next(c for c in doc["components"] if c["paths"])
         path = comp["paths"][0]
         step = path["steps"][0]
-        holder = {"parent": comp, "target": path, "subnetwork": step, "machine": step["first"]}[field]
+        holder = {"parent": comp, "target": path, "subnetwork": step, "machine": step["first"],
+                  "members": comp}[field]
         holder[field] = [holder[field]]
         plan.write_text(dump_document(doc))
         capsys.readouterr()
@@ -443,6 +440,20 @@ class TestSimulate:
         code = main(["simulate", str(net), str(plan), "--rollouts", "200", "--seed", "0"])
         assert code == EXIT_INVALID
         assert "no arc into it" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--trace"]], ids=["monte-carlo", "trace"])
+    def test_policy_action_that_cannot_change_a_belief_is_invalid(self, tmp_path, capsys, extra):
+        # detect_os passes every firewall, but every machine reads os=stable
+        net, plan = tmp_path / "net.json", tmp_path / "plan.json"
+        main(["gen", "--machines", "30", "--exploits", "20", "--seed", "7", "--out", str(net)])
+        assert main(["plan", str(net), "--out", str(plan)]) == EXIT_OK
+        doc = load_document(plan.read_text())
+        first = doc["components"][0]["paths"][0]["steps"][0]["first"]
+        first["policy"] = first["policy"].replace("failed: exploit000", "failed: detect_os")
+        plan.write_text(dump_document(doc))
+        capsys.readouterr()
+        assert main(["simulate", str(net), str(plan)] + extra) == EXIT_INVALID
+        assert "'detect_os', which cannot change a belief" in capsys.readouterr().err
 
     def test_policy_without_branch_is_invalid(self, tmp_path, capsys):
         scenario_path = tmp_path / "example.yaml"

@@ -110,6 +110,8 @@ class TestMalformedPlan:
             lambda d: _step(d).update(value="x"),
             lambda d: _step(d).update(entry_blocked_ports=5),
             lambda d: _step(d)["first"].update(policy=5),
+            lambda d: d["components"][0].update(members="abc"),
+            lambda d: d["components"][0].update(members=[["x"]]),
         ],
         ids=[
             "policy-line",
@@ -119,6 +121,8 @@ class TestMalformedPlan:
             "value-string",
             "blocked-ports-number",
             "policy-number",
+            "members-string",
+            "members-nested",
         ],
     )
     def test_rejected_with_report_error(self, planned, edit):
@@ -281,11 +285,18 @@ OS_LABEL_WITH_COLON = DATA / "os_label_with_colon.yaml"
 
 
 def deep_policy(depth: int) -> str:
-    """``depth`` OS detections in a row, each branching on the one OS label of the benchmark."""
-    lines = ["detect_os value=0.000000"]
-    lines += [f"{'  ' * k}os=stable: detect_os value=0.000000" for k in range(1, depth)]
-    lines.append(f"{'  ' * depth}os=stable: terminate value=0.000000")
+    """``depth`` scans of port 2000 in a row while it reads closed; a read of open gives up."""
+    lines = []
+    for k in range(depth):
+        lines.append(f"{'  ' * k}{'closed: ' if k else ''}scan000 value=0.000000")
+        lines.append(f"{'  ' * (k + 1)}open: terminate value=0.000000")
+    lines.append(f"{'  ' * depth}closed: terminate value=0.000000")
     return "\n".join(lines)
+
+
+# on the 4 x 3 benchmark of seed 0, seed 0's three rollouts find port 2000 of
+# m000 closed, closed and open: two scan 1,500 times, one once, at 10 a scan
+DEEP_POLICY_MEAN = -10.0 * (1500 + 1500 + 1) / 3
 
 
 class TestPlanFilesOfAnyShape:
@@ -296,10 +307,10 @@ class TestPlanFilesOfAnyShape:
         plan = plan_from_yaml(dump_document(doc), spec.actions)
         node, depth = plan.components[0].paths[0].steps[0].first.policy, 0
         while not node.is_leaf:
-            node, depth = node.branches["os=stable"], depth + 1
+            node, depth = node.branches["closed"], depth + 1
         assert depth == 1500
         mean, _ = monte_carlo(spec, plan, 3, 0)
-        assert mean == -50.0 * 1500  # each rollout detects 1,500 times, then gives up
+        assert mean == DEEP_POLICY_MEAN
 
     @pytest.mark.parametrize("name", ["random_6", "os_label_with_colon"])
     def test_yaml_plan_file_loads_as_planned(self, name):

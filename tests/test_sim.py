@@ -12,11 +12,14 @@ from pentestplan.bench import (
     worked_example_scenario,
 )
 from pentestplan.netmodel import EMPTY_FIREWALL, Firewall
-from pentestplan.planner import plan_attack
-from pentestplan.pomdp import ConfigState, build_machine_pomdp
+from pentestplan.planner import machine_pomdp, plan_attack
+from pentestplan.pomdp import TERMINATE_ACTION, ConfigState, build_machine_pomdp, with_reward
+from pentestplan.report import plan_from_yaml, plan_to_yaml
+from pentestplan.scenario import dump_document, emit_scenario, load_document, parse_scenario
 from pentestplan.sim import (
     GroundTruth,
     SimulationError,
+    check_plan,
     format_trace,
     monte_carlo,
     rollout,
@@ -165,8 +168,12 @@ class TestRollout:
              "machine 'm9'"),
             (lambda plan: setattr(plan.components[2].paths[0].steps[0].first, "machine_id", "m001"),
              "machine 'm001', which is not in subnetwork 'user00'"),
+            (lambda plan: (  # the foothold, which has no model to attack
+                setattr(plan.components[2].paths[0].steps[0], "subnetwork", "internet"),
+                setattr(plan.components[2].paths[0].steps[0].first, "machine_id", "attacker"),
+            ), "machine 'attacker', which has no template"),
         ],
-        ids=["parent", "step", "machine", "other-subnetwork"],
+        ids=["parent", "step", "machine", "other-subnetwork", "no-template"],
     )
     def test_plan_of_another_network_rejected(self, mutate, message):
         spec = generate_benchmark(BenchmarkParams(4, 3))
@@ -174,6 +181,19 @@ class TestRollout:
         mutate(plan)
         with pytest.raises(SimulationError, match=message):
             monte_carlo(spec, plan, 5, 0)
+
+    def test_plan_file_rolls_out_alike_on_a_fresh_spec(self):
+        for seed in range(40):
+            spec = random_scenario(seed)
+            plan = plan_attack(spec)
+            fresh = parse_scenario(emit_scenario(spec))
+            loaded = plan_from_yaml(plan_to_yaml(plan), fresh.actions)
+            check_plan(fresh, loaded)
+            beliefs, fresh_beliefs = scenario_beliefs(spec), scenario_beliefs(fresh)
+            for draw in range(5):
+                planned = rollout(spec, plan, sample_ground_truth(beliefs, draw))
+                reloaded = rollout(fresh, loaded, sample_ground_truth(fresh_beliefs, draw))
+                assert format_trace(reloaded, draw) == format_trace(planned, draw), (seed, draw)
 
     def test_monte_carlo_needs_rollouts(self):
         spec = random_scenario(3)
@@ -229,6 +249,14 @@ class TestPlanAgainstFirewalls:
         assert step.subnetwork == "exposed" and 2002 in step.entry_blocked_ports
         mutate(step, {a.id: a for a in fenced.actions})
         with pytest.raises(SimulationError, match=message):
+            monte_carlo(fenced, plan, 5, 0)
+
+    def test_action_that_cannot_change_a_belief_rejected(self, fenced):
+        # detect_os passes every firewall, but every machine reads os=stable
+        plan = plan_attack(fenced)
+        detect_os = next(a for a in fenced.actions if a.id == "detect_os")
+        plan.components[0].paths[0].steps[0].first.policy.branches["failed"].action = detect_os
+        with pytest.raises(SimulationError, match="'m000' takes action 'detect_os', which cannot"):
             monte_carlo(fenced, plan, 5, 0)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -293,6 +321,32 @@ class TestPomdpRollout:
         lines = text.splitlines()
         assert lines[0].startswith("# rollout seed=7")
         assert len(lines) == 1 + len(rollout_pomdp(pomdp, policy, state).steps)
+
+
+class TestFreeActions:
+    def test_free_scan_reads_zero_in_both_executors(self):
+        # a free scan's cost is -0.0; the compiled rows store it as 0.0
+        doc = load_document(emit_scenario(worked_example_scenario()))
+        for action in doc["actions"]:
+            if action["kind"] == "port_scan":
+                action["cost_time"] = 0.0
+        spec = parse_scenario(dump_document(doc))
+        plan = plan_attack(spec)
+        scan = next(a for a in spec.actions if a.id == "scan_port_2967")
+        policy = PolicyNode(scan, {obs: PolicyNode(TERMINATE_ACTION) for obs in ("open", "closed")})
+        plan.components[0].paths[0].steps[0].first.policy = policy
+        m = spec.net.machine("m")
+        pomdp = with_reward(machine_pomdp(spec, m, EMPTY_FIREWALL), m.id, m.reward)
+        beliefs = scenario_beliefs(spec)
+        texts = []
+        for seed in range(20):
+            truth = sample_ground_truth(beliefs, seed)
+            text = format_trace(rollout(spec, plan, truth), seed)
+            single = rollout_pomdp(pomdp, policy, ConfigState(truth.configs["m"]))
+            assert text == format_trace(single, seed)
+            texts.append(text)
+        assert texts[0] == "# rollout seed=0 steps=1 total=0.000000\nm scan_port_2967 closed 0.000000"
+        assert not any("-0.000000" in text for text in texts)
 
 
 class TestSimulatedValueAgainstPlan:
