@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -21,7 +22,8 @@ from pentestplan.netmodel import EMPTY_FIREWALL, action_usable
 from pentestplan.planner import machine_pomdp, plan_attack
 from pentestplan.pomdp import CONTROLLED, TERMINATE
 from pentestplan.scenario import emit_scenario, load_document, parse_scenario, scenario_from_dict
-from pentestplan.solver import format_policy, solve
+from pentestplan.sim import rollout_pomdp, sampled_mean
+from pentestplan.solver import evaluate_policy, format_policy, solve
 
 
 def sha256(text: str) -> str:
@@ -238,7 +240,7 @@ class TestGlobalBaseline:
             result = solve(build_global_pomdp(random_scenario(seed)).pomdp)
             digest.update(f"{seed} {result.value!r}\n{format_policy(result.policy)}\n".encode())
         assert digest.hexdigest() == (
-            "e79efe20a81d2d415912b88068b692dc37115e4f31fd1810443153cf27d7ce66"
+            "774c31cabb220a167a45d996368f8ad7b740fb079d605ebec2ef8314a8867be4"
         )
 
     def test_machine_without_moves(self):
@@ -354,6 +356,70 @@ class TestMovePruning:
         result = solve(gp.pomdp)
         assert result.value == 0.0
         assert result.policy.action.kind == TERMINATE and not result.policy.branches
+
+
+@pytest.fixture(scope="module")
+def product_models():
+    """``(scenario, global model)`` for each product among ``random_scenario(0..399)`` but
+    215, plain and on singleton trees."""
+    models = []
+    for singleton_tree in (False, True):
+        for seed in range(400):
+            if seed == 215:
+                continue
+            spec = random_scenario(seed, singleton_tree=singleton_tree)
+            gp = build_global_pomdp(spec)
+            if gp.pomdp.factors:
+                models.append((spec, gp))
+    return models
+
+
+class TestProductModels:
+    """A global model no state gates is solved as the sum of its machine solves."""
+
+    def test_products_are_found(self, product_models):
+        assert len(product_models) == 297
+        for _, gp in product_models:
+            assert [f.machine_id for f in gp.pomdp.factors] == list(gp.machine_order)
+
+    def test_value_equals_the_plain_search(self, product_models):
+        for _, gp in product_models:
+            plain = solve(replace(gp.pomdp, factors=())).value
+            assert solve(gp.pomdp).value == pytest.approx(plain, rel=1e-12, abs=0.0)
+
+    def test_chained_policy_evaluates_to_its_value(self, product_models):
+        for _, gp in product_models:
+            result = solve(gp.pomdp)
+            assert result.policy.value == pytest.approx(result.value, abs=1e-9)
+            assert evaluate_policy(gp.pomdp, result.policy) == pytest.approx(
+                result.value, abs=1e-9
+            )
+
+    def test_chained_policy_rolls_out(self, product_models):
+        # every sampled truth walks the chain to its end without a missing branch
+        for spec, gp in product_models:
+            policy = solve(gp.pomdp).policy
+
+            def total(truth):
+                state = gp.state_from_configs(truth.configs)
+                return rollout_pomdp(gp.pomdp, policy, state).total
+
+            sampled_mean(spec, 3, 0, total)
+
+    # gated: moves from other subnetworks wait for a break-in.  Seeds 16 and
+    # (singleton tree) 7 also have machines no move can reach, whose own
+    # solves would add value the network cannot give
+    @pytest.mark.parametrize("seed, singleton_tree, value", [
+        (240, False, 313.8901719135746),
+        (55, False, 16.66884918791709),
+        (9, False, 916.0655075702358),
+        (16, False, 0.0),
+        (7, True, 462.2141643791877),
+    ])
+    def test_gated_models_have_no_factors(self, seed, singleton_tree, value):
+        gp = build_global_pomdp(random_scenario(seed, singleton_tree=singleton_tree))
+        assert gp.pomdp.factors == ()
+        assert solve(gp.pomdp).value == pytest.approx(value, abs=1e-9)
 
 
 class TestCalibration:

@@ -259,6 +259,19 @@ class TestPlanAgainstFirewalls:
         with pytest.raises(SimulationError, match="'m000' takes action 'detect_os', which cannot"):
             monte_carlo(fenced, plan, 5, 0)
 
+    @pytest.mark.parametrize("action_id, why", [
+        ("detect_os", "cannot change a belief"), ("scan002", "its firewall blocks"),
+    ])
+    def test_rollout_rejects_an_action_outside_the_model(self, fenced, action_id, why):
+        # rollout without check_plan: the step finds no such move, and the error
+        # names the machine, the action and the reason as check_plan does
+        plan = plan_attack(fenced)
+        action = next(a for a in fenced.actions if a.id == action_id)
+        plan.components[0].paths[0].steps[0].first.policy.action = action
+        truth = sample_ground_truth(scenario_beliefs(fenced), 0)
+        with pytest.raises(SimulationError, match=f"'m000' takes action '{action_id}', which {why}$"):
+            rollout(fenced, plan, truth)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_planned_attacks_pass(self, seed):
         spec = random_scenario(seed)

@@ -129,14 +129,19 @@ class TestAgainstBruteForce:
             brute_force_value(pomdp, 6), abs=1e-9
         )
 
-    # global models small enough for the oracle, on which moves are cut part-way
+    # global models small enough for the oracle, on which the search cuts moves
+    # part-way; all but seed 174 are products, so solve sums machine solves and
+    # the search runs on the model without its factors
     @pytest.mark.parametrize("seed", [14, 35, 49, 148, 174, 387])
     def test_solve_equals_brute_force_where_moves_are_cut(self, seed):
         pomdp = build_global_pomdp(random_scenario(seed)).pomdp
-        result = solve(pomdp)
+        assert bool(pomdp.factors) == (seed != 174)
+        result = solve(dataclasses.replace(pomdp, factors=()))
         assert result.stats.move_cuts > 0
         depth = policy_depth(result.policy) + 2
-        assert result.value == pytest.approx(brute_force_value(pomdp, depth), abs=1e-9)
+        oracle = brute_force_value(pomdp, depth)
+        assert result.value == pytest.approx(oracle, abs=1e-9)
+        assert solve(pomdp).value == pytest.approx(oracle, abs=1e-9)
 
     def test_brute_force_guards_large_instances(self):
         pomdp = gated_pomdp()
@@ -161,6 +166,20 @@ class TestEvaluatePolicy:
         headless = PolicyNode(pomdp.actions[pomdp.action_pos["s"]], {}, 0.0)
         with pytest.raises(SolverError, match="no branch"):
             evaluate_policy(pomdp, headless)
+
+    def test_deep_policy_evaluates(self):
+        # a scan repeated 1,500 deep on the worked example's model: the walk
+        # keeps an explicit stack, so no depth recurses; each scan costs 10
+        spec = worked_example_scenario()
+        machine = spec.net.machine("m")
+        pomdp = build_machine_pomdp(
+            machine, EMPTY_FIREWALL, 100.0, spec.machine_belief(machine), spec.actions, spec.model
+        )
+        scan = pomdp.actions[pomdp.action_pos["scan_port_2967"]]
+        node = PolicyNode(TERMINATE_ACTION, {}, 0.0)
+        for _ in range(1500):
+            node = PolicyNode(scan, {"open": node, "closed": node}, 0.0)
+        assert evaluate_policy(pomdp, node) == pytest.approx(-15000.0, abs=1e-6)
 
 
 class TestModelWithoutMoves:
@@ -209,22 +228,26 @@ class TestGlobalModels:
     """Search counts and values of global models, pinned so that a change
     of memo key, belief split or action bound that loses work shows."""
 
-    @pytest.mark.parametrize("seed,nodes,memo_hits,value", [
-        pytest.param(240, 246, 657, 313.8901719135746, id="seed240"),
-        pytest.param(365, 1175, 5888, 263.7616794030538, id="seed365"),
-        pytest.param(55, 3, 0, 16.66884918791709, id="seed55"),
-        pytest.param(9, 25, 52, 916.0655075702358, id="seed9"),
-        pytest.param(27, 400, 1204, 74.99233289182703, id="seed27"),
+    # nodes and memo hits of the search on the model without its factors, then
+    # of the machine solves summed when the model is a product (None if not)
+    @pytest.mark.parametrize("seed,nodes,memo_hits,value,product", [
+        pytest.param(240, 246, 657, 313.8901719135746, None, id="seed240"),
+        pytest.param(365, 1175, 5888, 263.7616794030538, (20, 16), id="seed365"),
+        pytest.param(55, 3, 0, 16.66884918791709, None, id="seed55"),
+        pytest.param(9, 25, 52, 916.0655075702358, None, id="seed9"),
+        pytest.param(27, 400, 1204, 74.99233289182703, (9, 1), id="seed27"),
     ])
-    def test_counts_and_value(self, seed, nodes, memo_hits, value):
+    def test_counts_and_value(self, seed, nodes, memo_hits, value, product):
         pomdp = build_global_pomdp(random_scenario(seed)).pomdp
-        result = solve(pomdp)
-        assert result.stats.nodes_expanded == nodes
-        assert result.stats.cache_hits == memo_hits
-        assert result.value == pytest.approx(value, abs=1e-9)
-        assert evaluate_policy(pomdp, result.policy) == pytest.approx(
-            result.value, abs=1e-9
-        )
+        assert (product is None) == (pomdp.factors == ())
+        plain = dataclasses.replace(pomdp, factors=())
+        for model, counts in [(plain, (nodes, memo_hits)), (pomdp, product or (nodes, memo_hits))]:
+            result = solve(model)
+            assert (result.stats.nodes_expanded, result.stats.cache_hits) == counts
+            assert result.value == pytest.approx(value, abs=1e-9)
+            assert evaluate_policy(pomdp, result.policy) == pytest.approx(
+                result.value, abs=1e-9
+            )
 
     def test_bound_is_admissible_and_tight_on_singletons(self, criterion_4_solves):
         for pomdp, result in criterion_4_solves.values():
@@ -251,9 +274,13 @@ class TestGlobalModels:
         assert evaluate_policy(pomdp, result.policy) == pytest.approx(value, abs=1e-9)
 
     def test_move_cuts(self):
-        # seed 27 expands the 400 nodes pinned above; without cutting moves
-        # part-way, 5,600
-        assert solve(build_global_pomdp(random_scenario(27)).pomdp).stats.move_cuts > 0
+        # seed 27's search expands the 400 nodes pinned above; without cutting
+        # moves part-way, 5,600.  The model is a product (too large for the
+        # oracle), whose machine solves sum to the search's value
+        pomdp = build_global_pomdp(random_scenario(27)).pomdp
+        result = solve(dataclasses.replace(pomdp, factors=()))
+        assert result.stats.move_cuts > 0
+        assert solve(pomdp).value == pytest.approx(result.value, rel=1e-12, abs=0.0)
 
     def test_bound_skips(self):
         pomdp = build_global_pomdp(random_scenario(240)).pomdp
